@@ -1,11 +1,6 @@
 """Post-hoc analysis over traces and counters."""
 
-from repro.analysis.metrics import (
-    cluster_metrics,
-    machine_metrics,
-    nic_metrics,
-    render,
-)
+from repro.analysis.metrics import nic_metrics, render
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.traffic import (
     TrafficReport,
@@ -18,8 +13,6 @@ __all__ = [
     "Summary",
     "TrafficReport",
     "bandwidth_timeline",
-    "cluster_metrics",
-    "machine_metrics",
     "nic_metrics",
     "packet_latencies",
     "render",

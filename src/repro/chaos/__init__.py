@@ -1,9 +1,10 @@
-"""Chaos harness for the UDMA fast paths.
+"""Chaos harness for the UDMA fast paths, transports and protection backends.
 
 Deterministic adversarial schedules (seeded RNG), always-on invariant
-auditing hooked into the event loop, a differential oracle replaying
-every schedule with the host fast paths disabled, and a ddmin shrinker
-that reduces any failure to a paste-ready minimal reproducer.
+auditing hooked into the event loop, and six differential oracles built
+on one twin-run kernel (:mod:`repro.chaos.twin`, specs in
+:mod:`repro.chaos.oracles`).  Any failing schedule is shrunk by ddmin to
+a paste-ready minimal reproducer.
 
 Entry points::
 
@@ -18,140 +19,79 @@ or, from a shell::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.chaos.actions import (
     ACTION_WEIGHTS,
     CHURN_WEIGHTS,
+    PAGING_FAULT_KINDS,
     PAGING_WEIGHTS,
     SCHEDULE_PROFILES,
+    WIRE_FAULT_KINDS,
     Action,
     actions_from_json,
     actions_to_json,
     generate_schedule,
-)
-from repro.chaos.auditor import InvariantAuditor
-from repro.chaos.conformance import (
-    PROTECTION_BACKENDS,
-    ConformanceOracle,
-    ConformanceReport,
-    ConformanceSuiteReport,
-    outcome_class,
-    run_conformance_suite,
-    write_conformance_artifact,
-)
-from repro.chaos.explorer import Failure, RunResult, ScheduleExplorer
-from repro.chaos.oracle import (
-    PAGING_FAULT_KINDS,
-    WIRE_FAULT_KINDS,
-    ConvergenceReport,
-    DeliveryReport,
-    DifferentialOracle,
-    EventualDeliveryOracle,
-    IommuConvergenceOracle,
-    OracleReport,
     strip_paging_faults,
     strip_wire_faults,
 )
-from repro.chaos.shrinker import ShrinkResult, format_repro, shrink
+from repro.chaos.auditor import InvariantAuditor
+from repro.chaos.explorer import Failure, RunResult, ScheduleExplorer
+from repro.chaos.oracles import (
+    CAMPAIGNS,
+    PROTECTION_BACKENDS,
+    conformance_campaign,
+    outcome_class,
+    schedule_campaign,
+    shard_campaign,
+    suite_specs,
+)
+from repro.chaos.shrinker import ShrinkResult, shrink
+from repro.chaos.twin import (
+    Campaign,
+    TwinReport,
+    TwinSpec,
+    Verdict,
+    read_artifact,
+    write_artifact,
+)
 from repro.chaos.world import ChaosWorld
 
 __all__ = [
     "ACTION_WEIGHTS",
+    "CAMPAIGNS",
     "CHURN_WEIGHTS",
+    "Campaign",
     "PAGING_WEIGHTS",
     "SCHEDULE_PROFILES",
     "Action",
-    "ChaosReport",
     "ChaosWorld",
-    "ConformanceOracle",
-    "ConformanceReport",
-    "ConformanceSuiteReport",
-    "ConvergenceReport",
     "PROTECTION_BACKENDS",
     "PAGING_FAULT_KINDS",
-    "DeliveryReport",
-    "DifferentialOracle",
-    "EventualDeliveryOracle",
     "Failure",
     "InvariantAuditor",
-    "IommuConvergenceOracle",
-    "OracleReport",
     "RunResult",
     "ScheduleExplorer",
     "ShrinkResult",
+    "TwinReport",
+    "TwinSpec",
+    "Verdict",
     "WIRE_FAULT_KINDS",
     "actions_from_json",
     "actions_to_json",
-    "format_repro",
+    "conformance_campaign",
     "generate_schedule",
     "outcome_class",
-    "strip_paging_faults",
+    "read_artifact",
     "run_chaos",
-    "run_conformance_suite",
+    "schedule_campaign",
+    "shard_campaign",
     "shrink",
+    "strip_paging_faults",
     "strip_wire_faults",
-    "write_conformance_artifact",
+    "suite_specs",
+    "write_artifact",
 ]
-
-
-@dataclass
-class ChaosReport:
-    """Everything one chaos campaign produced."""
-
-    seed: int
-    nodes: int
-    actions: List[Action]
-    fast: RunResult
-    oracle: Optional[OracleReport] = None
-    delivery: Optional[DeliveryReport] = None
-    convergence: Optional[ConvergenceReport] = None
-    shrunk: Optional[ShrinkResult] = None
-    repro: str = ""
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.fast.ok and not self.mismatches
-
-    @property
-    def failure_message(self) -> str:
-        if self.fast.failure is not None:
-            return self.fast.failure.identity()
-        if self.mismatches:
-            return self.mismatches[0]
-        return ""
-
-    def summary(self) -> str:
-        log = self.fast.audit_log
-        lines = [
-            f"chaos: seed={self.seed} nodes={self.nodes} "
-            f"actions={len(self.actions)} applied={len(log)}",
-            f"audits: {self.fast.event_audits} event-hook, "
-            f"{self.fast.boundary_audits} boundary",
-            f"final: t={self.fast.counters.get('now', 0)} "
-            f"mem={self.fast.mem_digest}",
-        ]
-        if self.oracle is not None:
-            lines.append(self.oracle.summary())
-        if self.delivery is not None:
-            lines.append(self.delivery.summary())
-        if self.convergence is not None:
-            lines.append(self.convergence.summary())
-        if self.ok:
-            lines.append("result: PASS")
-        else:
-            lines.append(f"result: FAIL -- {self.failure_message}")
-            if self.fast.failure is not None and self.fast.failure.span_context:
-                lines.append(f"spans : {self.fast.failure.span_context}")
-            if self.shrunk is not None:
-                lines.append(
-                    f"shrunk: {len(self.actions)} -> "
-                    f"{len(self.shrunk.actions)} actions "
-                    f"({self.shrunk.evaluations} replays)"
-                )
-        return "\n".join(lines)
 
 
 def run_chaos(
@@ -166,101 +106,35 @@ def run_chaos(
     iommu: bool = False,
     profile: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
-) -> ChaosReport:
-    """Run one chaos campaign: explore, audit, diff, and shrink failures.
+) -> TwinReport:
+    """Run one schedule campaign: explore, audit, diff, and shrink failures.
 
     Args:
         seed: schedule RNG seed (ignored when ``actions`` is given).
         steps: schedule length.
         nodes: 1 builds a single node + sink device; >= 2 a cluster ring.
         break_mode: plant a deliberate kernel bug (``"no-inval"`` or
-            ``"stale-xlat"``) -- the acceptance check that the harness
-            actually catches broken kernels.
-        diff: also replay with fast paths disabled and run the oracle.
+            ``"stale-xlat"``) -- the check that the harness catches
+            broken kernels.
+        diff: also hold the run to the fast-paths oracle.
         actions: replay this explicit schedule instead of generating one.
         max_shrink_evals: ddmin replay budget when a failure needs shrinking.
-        reliability: enable the ack/retransmit transport and additionally
-            hold the run to the *eventual delivery* standard: wire faults
-            must leave final memory bit-identical to the fault-free twin
-            of the schedule, with zero lost messages (cluster runs only).
-        iommu: enable the virtual-address RDMA tier on every node and
-            additionally hold the run to the *convergence* standard:
-            paging faults must park-and-replay, leaving logical memory
-            bit-identical to the paging-free twin of the schedule with an
-            exact delivery ledger (cluster runs only; composes with
-            ``reliability`` and the differential oracle).
+        reliability: enable the ack/retransmit transport and, on a
+            cluster, the eventual-delivery oracle.
+        iommu: enable the virtual-address RDMA tier on every node and, on
+            a cluster, the IOMMU convergence oracle.
         profile: schedule profile (see SCHEDULE_PROFILES); defaults to
             ``"paging"`` for iommu campaigns, ``"default"`` otherwise.
-        checkpoint_every: snapshot the live world every N actions
-            (``repro.snapshot``) so shrink candidates sharing a prefix
-            resume from the checkpoint instead of replaying from t=0.
-            Exact: the report -- including the shrunk reproducer -- is
-            bit-identical with checkpointing on or off.
+        checkpoint_every: snapshot the live world every N actions so
+            shrink candidates sharing a prefix resume from the checkpoint.
+            Exact: the report and its reproducer are bit-identical with
+            checkpointing on or off.
     """
-    if profile is None:
-        profile = "paging" if iommu else "default"
-    schedule = (
-        list(actions)
-        if actions is not None
-        else generate_schedule(seed, steps, profile=profile)
+    if actions is None:
+        profile = profile or ("paging" if iommu else "default")
+        actions = generate_schedule(seed, steps, profile=profile)
+    campaign = schedule_campaign(
+        nodes=nodes, break_mode=break_mode, no_diff=not diff,
+        reliable=reliability, iommu=iommu, checkpoint_every=checkpoint_every,
     )
-    explorer = ScheduleExplorer(
-        nodes=nodes, break_mode=break_mode, reliability=reliability, iommu=iommu,
-        checkpoint_every=checkpoint_every,
-    )
-    fast = explorer.run(schedule, fast_paths=True)
-
-    report = ChaosReport(seed=seed, nodes=nodes, actions=schedule, fast=fast)
-    if diff:
-        report.oracle = DifferentialOracle(explorer).compare(schedule, fast=fast)
-        report.mismatches = list(report.oracle.mismatches)
-    if reliability and nodes >= 2:
-        report.delivery = EventualDeliveryOracle(explorer).compare(
-            schedule, faulted=fast
-        )
-        report.mismatches.extend(report.delivery.mismatches)
-    if iommu and nodes >= 2:
-        report.convergence = IommuConvergenceOracle(explorer).compare(
-            schedule, faulted=fast
-        )
-        report.mismatches.extend(report.convergence.mismatches)
-
-    if report.ok:
-        return report
-
-    oracle = DifferentialOracle(explorer) if diff else None
-    delivery_oracle = (
-        EventualDeliveryOracle(explorer) if reliability and nodes >= 2 else None
-    )
-    convergence_oracle = (
-        IommuConvergenceOracle(explorer) if iommu and nodes >= 2 else None
-    )
-
-    def still_fails(candidate: List[Action]) -> bool:
-        probe = explorer.run(candidate, fast_paths=True)
-        if probe.failure is not None:
-            return True
-        if oracle is not None and not oracle.compare(candidate, fast=probe).ok:
-            return True
-        if delivery_oracle is not None and not delivery_oracle.compare(
-            candidate, faulted=probe
-        ).ok:
-            return True
-        if convergence_oracle is not None and not convergence_oracle.compare(
-            candidate, faulted=probe
-        ).ok:
-            return True
-        return False
-
-    report.shrunk = shrink(schedule, still_fails, max_evals=max_shrink_evals)
-    report.repro = format_repro(
-        report.shrunk.actions,
-        seed=seed,
-        nodes=nodes,
-        failure_message=report.failure_message,
-        break_mode=break_mode,
-        span_context=(
-            fast.failure.span_context if fast.failure is not None else ""
-        ),
-    )
-    return report
+    return campaign.run(list(actions), seed=seed, shrink_evals=max_shrink_evals)

@@ -158,3 +158,22 @@ def actions_to_json(actions: Sequence[Action]) -> List[dict]:
 def actions_from_json(data: Sequence[dict]) -> List[Action]:
     """JSON list -> schedule."""
     return [Action.from_dict(d) for d in data]
+
+
+#: action kinds that perturb the wire (the faults reliability must absorb)
+WIRE_FAULT_KINDS = ("corrupt", "drop", "dup", "reorder")
+
+#: action kinds that perturb paging (the faults the IOMMU's park-and-resume
+#: path must absorb): forced evictions make a receive-buffer page
+#: non-resident under an incoming virtual transfer
+PAGING_FAULT_KINDS = ("pageout",)
+
+
+def strip_wire_faults(actions: Sequence[Action]) -> List[Action]:
+    """The fault-free twin of a schedule: same workload, no wire faults."""
+    return [a for a in actions if a.kind not in WIRE_FAULT_KINDS]
+
+
+def strip_paging_faults(actions: Sequence[Action]) -> List[Action]:
+    """The paging-free twin: same workload, no forced evictions."""
+    return [a for a in actions if a.kind not in PAGING_FAULT_KINDS]

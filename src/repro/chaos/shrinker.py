@@ -12,18 +12,17 @@ evaluation replays the candidate on fresh worlds, so shrinking is
 deterministic and side-effect free; an evaluation budget keeps the worst
 case bounded for CI.
 
-The output is paste-ready: :func:`format_repro` emits the seed, the exact
-CLI command that replays the minimal schedule, and the action list as
-JSON the CLI's ``--replay`` flag accepts.
+The shrink driver (:meth:`repro.chaos.twin.Campaign.run`) supplies the
+predicate; the report it fills turns the minimal schedule into a
+paste-ready reproducer and a ``--replay`` artifact.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
-from repro.chaos.actions import Action, actions_to_json
+from repro.chaos.actions import Action
 
 
 @dataclass
@@ -79,33 +78,3 @@ def shrink(
                 break  # 1-minimal: no single action can be removed
             granularity = min(granularity * 2, len(current))
     return ShrinkResult(actions=current, evaluations=evals, exhausted_budget=exhausted)
-
-
-def format_repro(
-    actions: Sequence[Action],
-    seed: int,
-    nodes: int,
-    failure_message: str,
-    break_mode: Optional[str] = None,
-    span_context: str = "",
-) -> str:
-    """Paste-ready minimal reproducer: CLI command + JSON schedule.
-
-    ``span_context`` is the causal-transfer context from the failing run
-    (``ChaosWorld.span_context()``); it rides along as a diagnostic line
-    but is not part of the failure identity.
-    """
-    brk = f" --break {break_mode}" if break_mode else ""
-    lines = [
-        "=== chaos minimal reproducer ===",
-        f"failure : {failure_message}",
-    ]
-    if span_context:
-        lines.append(f"spans   : {span_context}")
-    lines += [
-        f"actions : {len(actions)} (from seed {seed})",
-        "replay  : save the JSON below to repro.json, then run",
-        f"          python -m repro chaos --nodes {nodes}{brk} --replay repro.json",
-        json.dumps(actions_to_json(actions), indent=None, separators=(",", ":")),
-    ]
-    return "\n".join(lines)

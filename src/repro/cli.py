@@ -9,9 +9,10 @@ Commands:
 * ``metrics`` -- run a small workload and dump the metrics registry.
 * ``trace`` -- run one cluster transfer and print its causal span tree
   (optionally exporting a Perfetto-loadable Chrome trace).
-* ``chaos`` -- deterministic adversarial schedule with always-on invariant
-  auditing and a fast-vs-reference differential oracle; failures are
-  shrunk to a paste-ready minimal reproducer.
+* ``chaos`` -- deterministic adversarial schedules (or sharded-cluster
+  specs) with always-on invariant auditing, judged by the twin-run
+  differential oracles of ``repro.chaos``; failures are shrunk to a
+  paste-ready reproducer and a ``--replay`` artifact.
 """
 
 from __future__ import annotations
@@ -163,106 +164,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos_shards(args: argparse.Namespace) -> int:
-    """The sharding differential mode of the chaos command.
-
-    K-shard runs (in-process, optionally the worker engine too) are
-    diffed bit-for-bit against the single-process reference on audit
-    logs, memory digests and curated counters.  Failing specs are
-    written as replayable JSON artifacts.
-    """
-    import json
-
-    from repro.chaos.sharding_oracle import (
-        ShardingOracle,
-        run_pooling_suite,
-        run_sharding_suite,
-    )
-    from repro.sharding import ClusterSpec
-
-    audit = not args.no_audit
-    if args.no_pool:
-        nodes = args.nodes if args.nodes >= 4 else 16
-        if args.suite:
-            reports = run_pooling_suite(
-                num_shards=args.shards or 1,
-                num_nodes=nodes,
-                seeds=tuple(range(args.seed, args.seed + 3)),
-                engine=args.engine if args.engine != "both" else "in-process",
-                audit=audit,
-                iommu=args.iommu,
-            )
-        else:
-            spec = ClusterSpec(num_nodes=nodes, seed=args.seed,
-                               iommu=args.iommu)
-            reports = [
-                ShardingOracle(audit=audit).compare_pooling(
-                    spec,
-                    num_shards=args.shards or 1,
-                    engine=(
-                        args.engine if args.engine != "both" else "in-process"
-                    ),
-                )
-            ]
-    elif args.replay_spec is not None:
-        with open(args.replay_spec, "r", encoding="utf-8") as fh:
-            artifact = json.load(fh)
-        spec = ClusterSpec.from_dict(artifact["spec"])
-        reports = [
-            ShardingOracle(audit=audit).compare(
-                spec,
-                artifact.get("num_shards", args.shards),
-                engine=artifact.get("engine", args.engine),
-            )
-        ]
-    elif args.suite:
-        nodes = args.nodes if args.nodes >= 4 else 16
-        reports = run_sharding_suite(
-            args.shards,
-            num_nodes=nodes,
-            seeds=tuple(range(args.seed, args.seed + 3)),
-            audit=audit,
-            also_worker=args.engine in ("worker", "both"),
-            iommu=args.iommu,
-        )
-    else:
-        nodes = args.nodes if args.nodes >= 4 else 16
-        spec = ClusterSpec(num_nodes=nodes, seed=args.seed, iommu=args.iommu)
-        oracle = ShardingOracle(audit=audit)
-        engines = (
-            ["in-process", "worker"] if args.engine == "both"
-            else [args.engine]
-        )
-        reports = []
-        reference = None
-        for engine in engines:
-            report = oracle.compare(
-                spec, args.shards, engine=engine, reference=reference
-            )
-            reference = report.reference
-            reports.append(report)
-
-    failures = [r for r in reports if not r.ok]
-    for report in reports:
-        print(report.summary())
-    if failures:
-        path = args.repro_file or "sharding-failure.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(failures[0].artifact() + "\n")
-        print(f"\n(failing shard schedule written to {path})")
-        return 1
-    total_audits = sum(
-        r.sharded.audits + r.reference.audits
-        for r in reports
-        if r.sharded is not None and r.reference is not None
-    )
-    print(
-        f"{len(reports)} comparison(s) clean"
-        + (f"; {total_audits} invariant audits" if total_audits else "")
-    )
-    return 0
-
-
 def _parse_backend_specs(spec: str) -> List[str]:
     """``--backend`` value -> ordered backend spec list, proxy first.
 
@@ -283,92 +184,29 @@ def _parse_backend_specs(spec: str) -> List[str]:
     return names
 
 
-def _cmd_chaos_backend(args: argparse.Namespace) -> int:
-    """The protection-backend differential mode of the chaos command.
+def _chaos_kind(args: argparse.Namespace) -> str:
+    """The campaign the flags select (one of ``repro.chaos.CAMPAIGNS``).
 
-    Replays each schedule once per backend and requires identical
-    protection outcomes (fault ledgers, outcome classes, NIPT state,
-    settled memory digests); simulated cycle counts may differ per
-    backend.  Diverging schedules are shrunk and written as replayable
-    JSON artifacts.
+    Exactly one flag family selects it; every other flag is either
+    orthogonal or scoped to one campaign (see the ``chaos --help``
+    epilog).  A ``--replay`` artifact overrides it with its own kind.
     """
-    import json
+    from repro.chaos import oracles
 
-    from repro.chaos import (
-        ConformanceOracle,
-        actions_from_json,
-        run_conformance_suite,
-        shrink,
-        write_conformance_artifact,
-    )
-    from repro.errors import ConfigurationError
-    from repro.protection import make_backend
-
-    backends = _parse_backend_specs(args.backend)
-    try:
-        for name in backends:
-            make_backend(name)  # validate names / planted bugs up front
-    except ConfigurationError as exc:
-        print(f"bad --backend spec: {exc}", file=sys.stderr)
-        return 2
-
-    if args.replay is not None:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        raw = payload["actions"] if isinstance(payload, dict) else payload
-        actions = actions_from_json(raw)
-        oracle = ConformanceOracle(
-            nodes=args.nodes,
-            backends=backends,
-            check_determinism=args.check_determinism,
-        )
-        report = oracle.compare(actions)
-        if not report.ok:
-            report.shrunk = shrink(
-                actions,
-                lambda candidate: not oracle.compare(candidate).ok,
-                max_evals=args.max_shrink_evals,
-            )
-        print(report.summary())
-        failing = None if report.ok else report
-    else:
-        count = args.schedules if args.suite else 1
-        suite = run_conformance_suite(
-            seeds=range(args.seed, args.seed + count),
-            steps=args.steps,
-            nodes=args.nodes,
-            backends=backends,
-            check_determinism=args.check_determinism,
-            max_shrink_evals=args.max_shrink_evals,
-        )
-        print(suite.summary())
-        failing = suite.first_failure
-
-    if failing is not None:
-        path = args.repro_file or "protection-failure.json"
-        write_conformance_artifact(failing, path)
-        print(f"\n(diverging schedule written to {path})")
-        return 1
-    return 0
-
-
-def _chaos_mode(args: argparse.Namespace) -> str:
-    """The chaos command's mode: one of ``schedule | backend | shards``.
-
-    Mode is selected by exactly one flag family; every other flag is
-    either orthogonal (composes with any mode) or scoped to one mode.
-    See the ``chaos --help`` epilog for the full matrix.
-    """
     if args.backend is not None:
-        return "backend"
-    if args.shards is not None or args.no_pool:
-        return "shards"
-    return "schedule"
+        return oracles.CONFORMANCE
+    if args.no_pool:
+        return oracles.POOLING
+    if args.shards is not None:
+        return oracles.SHARDING
+    return oracles.SCHEDULE
 
 
-def _validate_chaos(args: argparse.Namespace, mode: str) -> Optional[str]:
+def _validate_chaos(args: argparse.Namespace, kind: str) -> Optional[str]:
     """Reject unsupported flag combinations with a one-line reason."""
-    if mode == "backend":
+    from repro.chaos import oracles
+
+    if kind == oracles.CONFORMANCE:
         if args.shards is not None or args.no_pool:
             return "--backend and --shards/--no-pool are distinct modes"
         for flag, name in (
@@ -380,7 +218,7 @@ def _validate_chaos(args: argparse.Namespace, mode: str) -> Optional[str]:
         ):
             if flag:
                 return f"{name} is not supported in --backend mode"
-    elif mode == "shards":
+    elif kind != oracles.SCHEDULE:
         for flag, name in (
             (args.reliable, "--reliable"),
             (args.profile, "--profile"),
@@ -389,11 +227,7 @@ def _validate_chaos(args: argparse.Namespace, mode: str) -> Optional[str]:
         ):
             if flag:
                 return f"{name} is not supported in --shards/--no-pool mode"
-        if args.replay:
-            return "--shards replays spec artifacts; use --replay-spec"
     else:
-        if args.replay_spec:
-            return "--replay-spec needs --shards; use --replay for schedules"
         if args.iommu and args.nodes is not None and args.nodes < 2:
             return "--iommu needs a cluster (--nodes 2 or more)"
         if args.checkpoint_every is not None and args.checkpoint_every <= 0:
@@ -401,26 +235,72 @@ def _validate_chaos(args: argparse.Namespace, mode: str) -> Optional[str]:
     return None
 
 
+def _chaos_flags(args: argparse.Namespace, kind: str) -> dict:
+    """The campaign flags the command line sets for ``kind``."""
+    from repro.chaos import oracles
+
+    if kind == oracles.SCHEDULE:
+        return dict(nodes=args.nodes, break_mode=args.break_mode,
+                    no_diff=args.no_diff, reliable=args.reliable,
+                    iommu=args.iommu)
+    if kind == oracles.CONFORMANCE:
+        return dict(nodes=args.nodes,
+                    backends=_parse_backend_specs(args.backend or "all"),
+                    check_determinism=args.check_determinism)
+    return dict(num_shards=args.shards or 1, engine=args.engine,
+                no_audit=args.no_audit,
+                mode="pooling" if kind == oracles.POOLING else "shards")
+
+
+def _chaos_subjects(args: argparse.Namespace, kind: str) -> list:
+    """The ``(seed, subject)`` pairs the command line selects for ``kind``."""
+    from repro.chaos import generate_schedule, oracles
+    from repro.sharding import ClusterSpec
+
+    if kind == oracles.SCHEDULE:
+        profile = args.profile or ("paging" if args.iommu else "default")
+        return [(args.seed, generate_schedule(args.seed, args.steps, profile=profile))]
+    count = (args.schedules if kind == oracles.CONFORMANCE else 3) if args.suite else 1
+    seeds = range(args.seed, args.seed + count)
+    if kind == oracles.CONFORMANCE:
+        return [(s, generate_schedule(s, args.steps, profile="churn")) for s in seeds]
+    nodes = args.nodes if args.nodes >= 4 else 16
+    if args.suite:
+        specs = oracles.suite_specs(
+            num_nodes=nodes, seeds=tuple(seeds), iommu=args.iommu
+        )
+    else:
+        specs = [ClusterSpec(num_nodes=nodes, seed=args.seed, iommu=args.iommu)]
+    return [(None, spec) for spec in specs]
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
+    """One driver for every campaign: schedule, backend, shards, pooling.
 
-    from repro.chaos import SCHEDULE_PROFILES, actions_from_json, run_chaos
+    Each subject (a schedule or a cluster spec) is judged by every spec
+    of the campaign; the first failing subject is shrunk (schedules
+    only), printed as a reproducer and written as a ``--replay``
+    artifact.
+    """
+    from repro.chaos import (
+        CAMPAIGNS,
+        SCHEDULE_PROFILES,
+        oracles,
+        read_artifact,
+        write_artifact,
+    )
     from repro.chaos.world import BREAK_MODES
+    from repro.errors import ConfigurationError
+    from repro.protection import make_backend
 
-    mode = _chaos_mode(args)
-    problem = _validate_chaos(args, mode)
+    kind = _chaos_kind(args)
+    problem = _validate_chaos(args, kind)
     if problem is not None:
         print(f"bad flag combination: {problem}", file=sys.stderr)
         return 2
     if args.nodes is None:
         # --iommu is a cluster feature: default to the smallest ring.
         args.nodes = 2 if args.iommu else 1
-
-    if mode == "backend":
-        return _cmd_chaos_backend(args)
-    if mode == "shards":
-        return _cmd_chaos_shards(args)
-
     if args.break_mode is not None and args.break_mode not in BREAK_MODES:
         print(f"unknown --break mode {args.break_mode!r}; "
               f"choose from {[m for m in BREAK_MODES if m]}", file=sys.stderr)
@@ -430,37 +310,46 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"choose from {sorted(SCHEDULE_PROFILES)}", file=sys.stderr)
         return 2
 
-    actions = None
+    replay_flags: dict = {}
     if args.replay is not None:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            actions = actions_from_json(json.load(fh))
+        replay_kind, replay_flags, subject, seed = read_artifact(args.replay)
+        if replay_kind is not None and replay_kind not in CAMPAIGNS:
+            print(f"unknown artifact kind {replay_kind!r} in {args.replay}; "
+                  f"expected one of {sorted(CAMPAIGNS)}", file=sys.stderr)
+            return 2
+        kind = replay_kind or kind
+        subjects = [(seed, subject)]
+    else:
+        subjects = _chaos_subjects(args, kind)
+    # The artifact's own flags win: it replays the campaign that failed.
+    flags = {**_chaos_flags(args, kind), **replay_flags}
+    if kind == oracles.CONFORMANCE:
+        try:
+            for name in flags["backends"]:
+                make_backend(name)  # validate names / planted bugs up front
+        except ConfigurationError as exc:
+            print(f"bad --backend spec: {exc}", file=sys.stderr)
+            return 2
+    if kind == oracles.SCHEDULE:
+        flags["checkpoint_every"] = args.checkpoint_every
+    campaign = CAMPAIGNS[kind](**flags)
 
-    report = run_chaos(
-        seed=args.seed,
-        steps=args.steps,
-        nodes=args.nodes,
-        break_mode=args.break_mode,
-        diff=not args.no_diff,
-        actions=actions,
-        max_shrink_evals=args.max_shrink_evals,
-        reliability=args.reliable,
-        iommu=args.iommu,
-        profile=args.profile,
-        checkpoint_every=args.checkpoint_every,
-    )
-    print(report.summary())
-    if args.dump_log:
-        for line in report.fast.audit_log:
-            print(line)
-    if not report.ok:
-        if report.repro:
-            print()
-            print(report.repro)
-            if args.repro_file:
-                with open(args.repro_file, "w", encoding="utf-8") as fh:
-                    fh.write(report.repro + "\n")
-                print(f"\n(reproducer written to {args.repro_file})")
+    reports = campaign.run_suite(subjects, shrink_evals=args.max_shrink_evals)
+    for report in reports:
+        print(report.summary())
+        if args.dump_log:
+            for line in getattr(report.primary, "audit_log", ()):
+                print(line)
+    if reports and not reports[-1].ok:
+        failing = reports[-1]
+        print()
+        print(failing.repro)
+        if args.repro_file:
+            write_artifact(failing, args.repro_file)
+            print(f"\n(artifact written to {args.repro_file}; replay it with "
+                  f"python -m repro chaos --replay {args.repro_file})")
         return 1
+    print(f"{len(reports)} subject(s) clean")
     return 0
 
 
@@ -496,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="""\
 mode matrix -- pick at most one mode; toggles compose as marked:
 
-  mode (mutually exclusive)
+  mode (mutually exclusive; every mode runs specs on one twin-run kernel)
     (none)          schedule campaign: seeded adversarial schedule, invariant
                     auditing, fast-vs-reference differential oracle, shrinker
     --backend SPEC  protection-backend conformance: same schedule replayed
@@ -504,7 +393,7 @@ mode matrix -- pick at most one mode; toggles compose as marked:
                     required (scoped flags: --schedules, --check-determinism)
     --shards K      sharded-PDES differential: K-shard run diffed bit-for-bit
                     against the single-process reference (scoped flags:
-                    --engine, --no-audit, --replay-spec)
+                    --engine, --no-audit)
     --no-pool       pooling differential (a shard-mode variant): fast lane
                     off vs on at --shards K (default 1)
 
@@ -517,12 +406,16 @@ mode matrix -- pick at most one mode; toggles compose as marked:
     --profile P     schedule mode: action mix (default | churn | paging);
                     defaults to "paging" with --iommu
     --suite         backend or shard mode: run the whole seeded suite
+    --replay FILE   replay any failure artifact (--repro-file output): its
+                    kind and flags select the mode; a bare JSON action list
+                    replays under the mode the other flags select
 
   examples
     chaos --seed 7 --steps 200 --nodes 2 --reliable
     chaos --iommu --steps 300                  # paging campaign, 2 nodes
     chaos --iommu --shards 4                   # sharded iommu differential
     chaos --backend all --suite --schedules 8
+    chaos --replay failure.json                # any mode's artifact
 """,
     )
     chaos.add_argument("--seed", type=int, default=0,
@@ -538,9 +431,11 @@ mode matrix -- pick at most one mode; toggles compose as marked:
     chaos.add_argument("--no-diff", action="store_true",
                        help="skip the fast-vs-reference differential oracle")
     chaos.add_argument("--replay", default=None, metavar="FILE",
-                       help="replay a JSON action list instead of generating")
+                       help="replay a failure artifact (any mode) or a JSON "
+                            "action list instead of generating")
     chaos.add_argument("--repro-file", default=None, metavar="FILE",
-                       help="also write the minimal reproducer here on failure")
+                       help="on failure, also write the replayable JSON "
+                            "artifact here")
     chaos.add_argument("--dump-log", action="store_true",
                        help="print the full per-action audit log")
     chaos.add_argument("--max-shrink-evals", type=int, default=200,
@@ -561,9 +456,6 @@ mode matrix -- pick at most one mode; toggles compose as marked:
                        help="run the whole seeded spec suite (with --shards)")
     chaos.add_argument("--no-audit", action="store_true",
                        help="skip per-operation invariant auditing "
-                            "(with --shards)")
-    chaos.add_argument("--replay-spec", default=None, metavar="FILE",
-                       help="replay a failing shard-schedule artifact "
                             "(with --shards)")
     chaos.add_argument("--backend", default=None, metavar="SPEC",
                        help="protection differential mode: replay each "

@@ -83,6 +83,55 @@ class Channel:
         return self.npages * self.page_size
 
 
+def export_receive_buffer(
+    machine: Machine,
+    process: Process,
+    vaddr: int,
+    npages: int,
+    physical: bool = True,
+) -> Tuple[int, ...]:
+    """Receiver-side export: make pages resident, dirty, and pinned.
+
+    Returns the physical frames backing the buffer (what NIPT entries
+    will name).  See the module docstring for the pinning rationale.
+    Both the cluster's channel setup and the sharded engine's per-node
+    setup export through here.
+
+    Under the virtual-address RDMA tier (``physical=False``) the export
+    takes *no pin* and sets no dirty bit: it registers (asid, vpage)
+    windows with the machine's IOMMU instead, and delivery-time
+    translation marks pages dirty as the device actually writes them.
+    Pages are still touched resident once so the fault-free path starts
+    warm; they may be evicted freely afterwards -- that is the whole
+    point of the tier.
+    """
+    if vaddr % machine.layout.page_size:
+        raise SyscallError("EINVAL", "receive buffers must be page aligned")
+    if not physical and machine.iommu is None:
+        raise ConfigurationError(
+            f"{machine.name} has no IOMMU; virtual exports need "
+            "ClusterConfig(iommu=...)"
+        )
+    frames: List[int] = []
+    base_vpage = vaddr // machine.layout.page_size
+    for i in range(npages):
+        vpage = base_vpage + i
+        if not process.owns_vpage(vpage):
+            raise SyscallError("EFAULT", f"vpage {vpage:#x} not owned")
+        if not process.vpage_is_writable(vpage):
+            raise SyscallError("EFAULT", f"vpage {vpage:#x} is read-only")
+        frame = machine.kernel.vm.touch_resident(process, vpage)
+        if physical:
+            pte = process.page_table.get(vpage)
+            assert pte is not None
+            pte.dirty = True  # receiving-side I3: incoming DMA will write it
+            machine.kernel.frames.pin(frame)
+        else:
+            machine.iommu.register_window(process.asid, vpage, writable=True)
+        frames.append(frame)
+    return tuple(frames)
+
+
 class ShrimpCluster:
     """N SHRIMP nodes on one backplane.
 
@@ -93,10 +142,7 @@ class ShrimpCluster:
 
         cluster = ShrimpCluster(config=ClusterConfig(num_nodes=2, iommu=True))
 
-    Legacy keyword construction (``ShrimpCluster(num_nodes=...)``) still
-    works through :meth:`~repro.config.ClusterConfig.from_kwargs`, which
-    emits a ``DeprecationWarning``.  The ``iommu`` option is config-only:
-    with it on, sender NIPT entries name (asid, virtual page) on the
+    With ``iommu`` on, sender NIPT entries name (asid, virtual page) on the
     receiver, exports take no pin, and receiver-side faults
     park-and-replay through each node's IOMMU (:mod:`repro.iommu`).
     """
@@ -104,20 +150,13 @@ class ShrimpCluster:
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
-        **legacy: object,
     ) -> None:
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "ShrimpCluster() takes config= or legacy keyword "
-                    f"arguments, not both (got {', '.join(sorted(legacy))})"
-                )
-            if not isinstance(config, ClusterConfig):
-                raise ConfigurationError(
-                    f"config must be a ClusterConfig, got {type(config).__name__}"
-                )
-        else:
-            config = ClusterConfig.from_kwargs(**legacy)
+        if config is None:
+            config = ClusterConfig()
+        elif not isinstance(config, ClusterConfig):
+            raise ConfigurationError(
+                f"config must be a ClusterConfig, got {type(config).__name__}"
+            )
         if config.num_nodes <= 0:
             raise ConfigurationError(
                 f"num_nodes must be positive, got {config.num_nodes}"
@@ -286,9 +325,7 @@ class ShrimpCluster:
     def metrics(self) -> dict:
         """Whole-multicomputer counters: per node plus the backplane.
 
-        The stable replacement for the deprecated
-        :func:`repro.analysis.metrics.cluster_metrics` free function; a
-        nested view over the shared registry, sampled at call time.
+        A nested view over the shared registry, sampled at call time.
         """
         self._bind_metrics()
         for node in self.nodes:
@@ -309,54 +346,6 @@ class ShrimpCluster:
         return len(self.nodes)
 
     # ----------------------------------------------------------- channels
-    def export_receive_buffer(
-        self,
-        node_index: int,
-        process: Process,
-        vaddr: int,
-        npages: int,
-        physical: bool = True,
-    ) -> Tuple[int, ...]:
-        """Receiver-side export: make pages resident, dirty, and pinned.
-
-        Returns the physical frames backing the buffer (what NIPT entries
-        will name).  See the module docstring for the pinning rationale.
-
-        Under the virtual-address RDMA tier (``physical=False``) the
-        export takes *no pin* and sets no dirty bit: it registers
-        (asid, vpage) windows with the receiving node's IOMMU instead,
-        and delivery-time translation marks pages dirty as the device
-        actually writes them.  Pages are still touched resident once so
-        the fault-free path starts warm; they may be evicted freely
-        afterwards -- that is the whole point of the tier.
-        """
-        node = self.nodes[node_index]
-        if vaddr % node.layout.page_size:
-            raise SyscallError("EINVAL", "receive buffers must be page aligned")
-        if not physical and node.iommu is None:
-            raise ConfigurationError(
-                f"node {node_index} has no IOMMU; virtual exports need "
-                "ClusterConfig(iommu=...)"
-            )
-        frames: List[int] = []
-        base_vpage = vaddr // node.layout.page_size
-        for i in range(npages):
-            vpage = base_vpage + i
-            if not process.owns_vpage(vpage):
-                raise SyscallError("EFAULT", f"vpage {vpage:#x} not owned")
-            if not process.vpage_is_writable(vpage):
-                raise SyscallError("EFAULT", f"vpage {vpage:#x} is read-only")
-            frame = node.kernel.vm.touch_resident(process, vpage)
-            if physical:
-                pte = process.page_table.get(vpage)
-                assert pte is not None
-                pte.dirty = True  # receiving-side I3: incoming DMA will write it
-                node.kernel.frames.pin(frame)
-            else:
-                node.iommu.register_window(process.asid, vpage, writable=True)
-            frames.append(frame)
-        return tuple(frames)
-
     def create_channel(
         self,
         src_node: int,
@@ -385,8 +374,8 @@ class ShrimpCluster:
             physical = self.nodes[dst_node].iommu is None
         page_size = self.costs.page_size
         npages = -(-nbytes // page_size)
-        frames = self.export_receive_buffer(
-            dst_node, dst_process, dst_vaddr, npages, physical=physical
+        frames = export_receive_buffer(
+            self.nodes[dst_node], dst_process, dst_vaddr, npages, physical=physical
         )
         base = self._alloc_nipt(src_node, npages)
         nic = self.nics[src_node]

@@ -13,10 +13,10 @@ address map, following Figure 4's structure:
 
 Example::
 
-    from repro import Machine
+    from repro import Machine, MachineConfig
     from repro.devices import SinkDevice
 
-    m = Machine(mem_size=1 << 22)
+    m = Machine(config=MachineConfig(mem_size=1 << 22))
     m.attach_device(SinkDevice("sink", size=1 << 16))
     p = m.create_process("app")
     ...
@@ -69,10 +69,6 @@ class Machine:
             observability plane / ``config.record_trace``.
         name: node name (namespaces metrics and trace sources).
 
-    Legacy keyword construction (``Machine(mem_size=...)``) still works
-    -- the keywords are routed through
-    :meth:`~repro.config.MachineConfig.from_kwargs`, which emits a
-    ``DeprecationWarning``.  The ``iommu`` option is config-only.
     """
 
     def __init__(
@@ -82,20 +78,13 @@ class Machine:
         clock: Optional[Clock] = None,
         tracer: Optional[Tracer] = None,
         name: str = "node",
-        **legacy: object,
     ) -> None:
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "Machine() takes config= or legacy keyword arguments, "
-                    f"not both (got {', '.join(sorted(legacy))})"
-                )
-            if not isinstance(config, MachineConfig):
-                raise ConfigurationError(
-                    f"config must be a MachineConfig, got {type(config).__name__}"
-                )
-        else:
-            config = MachineConfig.from_kwargs(**legacy)
+        if config is None:
+            config = MachineConfig()
+        elif not isinstance(config, MachineConfig):
+            raise ConfigurationError(
+                f"config must be a MachineConfig, got {type(config).__name__}"
+            )
         self.config = config
         self.costs = config.costs if config.costs is not None else shrimp()
         self.name = name
@@ -431,9 +420,7 @@ class Machine:
     def metrics(self) -> dict:
         """This node's counters, grouped by subsystem.
 
-        The stable replacement for the deprecated
-        :func:`repro.analysis.metrics.machine_metrics` free function: the
-        report is a nested view over the observability plane's registry
+        A nested view over the observability plane's registry
         (``m.obs.registry``), sampled at call time.
         """
         self._bind_metrics()

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.workloads import make_payload
+from repro.cluster import export_receive_buffer
 from repro.config import MachineConfig
 from repro.errors import ConfigurationError, DmaError
 from repro.kernel.invariants import InvariantChecker
@@ -155,24 +156,6 @@ def build_node(
     return machine, nic
 
 
-def _export_receive_buffer(
-    machine: Machine, process: Process, vaddr: int, npages: int
-) -> Tuple[int, ...]:
-    """Receiver-side export: resident, dirty, pinned (cluster.py's model)."""
-    if vaddr % machine.layout.page_size:
-        raise ConfigurationError("receive buffers must be page aligned")
-    frames: List[int] = []
-    base_vpage = vaddr // machine.layout.page_size
-    for i in range(npages):
-        frame = machine.kernel.vm.touch_resident(process, base_vpage + i)
-        pte = process.page_table.get(base_vpage + i)
-        assert pte is not None
-        pte.dirty = True  # receiving-side I3: incoming DMA will write it
-        machine.kernel.frames.pin(frame)
-        frames.append(frame)
-    return tuple(frames)
-
-
 def setup_node(
     spec: ClusterSpec,
     costs: CostModel,
@@ -214,7 +197,7 @@ def setup_node(
         for k in range(npages):
             nic.nipt.set_entry(k, dst, base_vpage + k, rx_proc.asid)
     else:
-        frames = _export_receive_buffer(machine, rx_proc, rx_buf, npages)
+        frames = export_receive_buffer(machine, rx_proc, rx_buf, npages)
         if canonical_frames is not None and frames != tuple(canonical_frames):
             raise ConfigurationError(
                 f"node {node_id} receive frames {frames} diverged from the "

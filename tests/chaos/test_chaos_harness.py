@@ -17,11 +17,14 @@ Four properties make the harness trustworthy:
    ddmin only ever returns a subsequence that fails.
 """
 
+import json
+
 import pytest
 
-from repro.chaos import generate_schedule, run_chaos, shrink
+from repro.chaos import generate_schedule, run_chaos, schedule_campaign, shrink
 from repro.chaos.explorer import ScheduleExplorer
-from repro.chaos.oracle import DifferentialOracle
+from repro.chaos.oracles import fast_paths_twin
+from repro.cli import main
 
 
 # ------------------------------------------------------------ determinism
@@ -40,12 +43,12 @@ def test_acceptance_run_is_deterministic_and_clean():
     second = run_chaos(seed=7, steps=200, nodes=2)
     assert first.ok, first.failure_message
     assert second.ok
-    assert first.fast.audit_log == second.fast.audit_log
-    assert first.fast.counters == second.fast.counters
-    assert first.fast.mem_digest == second.fast.mem_digest
+    assert first.primary.audit_log == second.primary.audit_log
+    assert first.primary.counters == second.primary.counters
+    assert first.primary.mem_digest == second.primary.mem_digest
     # auditing really ran, continuously
-    assert first.fast.boundary_audits == 201  # one per action + settle
-    assert first.fast.event_audits > 0
+    assert first.primary.boundary_audits == 201  # one per action + settle
+    assert first.primary.event_audits > 0
 
 
 # ------------------------------------------------------ oracle equivalence
@@ -53,9 +56,9 @@ def test_acceptance_run_is_deterministic_and_clean():
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_fast_and_reference_runs_are_bit_identical(seed, nodes):
     report = run_chaos(seed=seed, steps=80, nodes=nodes)
-    assert report.fast.ok, report.failure_message
-    assert report.oracle is not None
-    assert report.oracle.ok, report.oracle.mismatches[:3]
+    assert report.primary.ok, report.failure_message
+    assert report.verdict("fast-paths") is not None
+    assert report.verdict("fast-paths").ok, report.verdict("fast-paths").mismatches[:3]
 
 
 def test_oracle_flags_a_seeded_divergence():
@@ -66,12 +69,12 @@ def test_oracle_flags_a_seeded_divergence():
     fast = explorer.run(actions, fast_paths=True)
     # Compare against a *different* schedule's reference run.
     other = ScheduleExplorer(nodes=1)
-    report = DifferentialOracle(other).compare(generate_schedule(seed=6, steps=40))
+    report = fast_paths_twin(other).compare(generate_schedule(seed=6, steps=40))
     assert report.ok  # healthy in itself...
-    tampered = DifferentialOracle(explorer).compare(actions, fast=fast)
+    tampered = fast_paths_twin(explorer).compare(actions, a=fast)
     assert tampered.ok
     fast.audit_log[0] = "tampered"
-    assert not DifferentialOracle(explorer).compare(actions, fast=fast).ok
+    assert not fast_paths_twin(explorer).compare(actions, a=fast).ok
 
 
 # ------------------------------------------------------------- bug finding
@@ -83,9 +86,9 @@ def test_missing_inval_is_caught_and_shrunk(nodes):
         seed=7, steps=200, nodes=nodes, break_mode="no-inval", diff=False
     )
     assert not report.ok
-    assert report.fast.failure is not None
-    assert report.fast.failure.kind == "invariant"
-    assert "I1" in report.fast.failure.message
+    assert report.primary.failure is not None
+    assert report.primary.failure.kind == "invariant"
+    assert "I1" in report.primary.failure.message
     assert report.shrunk is not None
     assert 1 <= len(report.shrunk.actions) <= 20
     # the shrunk schedule is a genuine reproducer
@@ -113,6 +116,42 @@ def test_stale_translation_cache_is_caught_and_shrunk(nodes):
     assert not replay.ok
     assert report.repro  # paste-ready reproducer text was produced
     assert "--replay" in report.repro
+
+
+def test_reproducer_carries_every_campaign_flag(tmp_path, capsys):
+    """The printed command replays the campaign that failed: with the
+    reliable transport and the IOMMU tier on, both flags are in it, and
+    running it reaches the shrunk schedule's failure identity."""
+    report = run_chaos(
+        seed=7, steps=60, nodes=2, break_mode="no-inval",
+        reliability=True, iommu=True, max_shrink_evals=60,
+    )
+    assert not report.ok and report.shrunk is not None
+    expected = schedule_campaign(**report.flags).run(report.shrunk.actions)
+    assert not expected.ok
+
+    lines = report.repro.splitlines()
+    command = next(line for line in lines if "python -m repro chaos" in line).split()
+    assert "--reliable" in command and "--iommu" in command
+    argv = command[command.index("chaos"):]
+    artifact = json.loads(lines[-1])
+    # Replay both the full artifact and a bare action list, which carries
+    # no flags of its own: the command alone must rebuild the campaign.
+    for payload in (artifact, artifact["actions"]):
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps(payload))
+        argv[argv.index("--replay") + 1] = str(path)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert f"result: FAIL -- {expected.failure_message}" in out
+        assert "delivery oracle" in out and "convergence oracle" in out
+
+
+def test_replay_refuses_an_unknown_artifact_kind(tmp_path, capsys):
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({"kind": "bogus", "actions": []}))
+    assert main(["chaos", "--replay", str(path)]) == 2
+    assert "unknown artifact kind 'bogus'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- shrinker

@@ -19,7 +19,7 @@ from repro.chaos import (
     strip_wire_faults,
 )
 from repro.chaos.explorer import ScheduleExplorer
-from repro.chaos.oracle import EventualDeliveryOracle
+from repro.chaos.oracles import delivery_twin
 
 
 # ----------------------------------------------------- twin construction
@@ -47,28 +47,28 @@ def test_reliable_campaign_converges(seed):
     memory image with zero lost messages."""
     report = run_chaos(seed=seed, steps=100, nodes=2, reliability=True)
     assert report.ok, report.failure_message
-    assert report.delivery is not None
-    assert report.delivery.ok, report.delivery.mismatches[:3]
-    assert report.delivery.faulted.counters.get("rel.delivery_failed", 0) == 0
-    sent = report.delivery.faulted.counters.get("rel.messages_sent", 0)
-    got = report.delivery.faulted.counters.get("rel.messages_delivered", 0)
+    assert report.verdict("delivery") is not None
+    assert report.verdict("delivery").ok, report.verdict("delivery").mismatches[:3]
+    assert report.verdict("delivery").a.counters.get("rel.delivery_failed", 0) == 0
+    sent = report.verdict("delivery").a.counters.get("rel.messages_sent", 0)
+    got = report.verdict("delivery").a.counters.get("rel.messages_delivered", 0)
     assert sent == got
 
 
 def test_reliable_campaign_three_nodes():
     report = run_chaos(seed=7, steps=120, nodes=3, reliability=True)
     assert report.ok, report.failure_message
-    assert report.delivery is not None and report.delivery.ok
+    assert report.verdict("delivery") is not None and report.verdict("delivery").ok
 
 
 def test_reliable_campaign_is_deterministic():
     first = run_chaos(seed=11, steps=80, nodes=2, reliability=True)
     second = run_chaos(seed=11, steps=80, nodes=2, reliability=True)
     assert first.ok and second.ok
-    assert first.fast.counters == second.fast.counters
-    assert first.fast.mem_digest == second.fast.mem_digest
+    assert first.primary.counters == second.primary.counters
+    assert first.primary.mem_digest == second.primary.mem_digest
     # the reliability counters are part of the deterministic surface
-    rel = {k for k in first.fast.counters if k.startswith("rel.")}
+    rel = {k for k in first.primary.counters if k.startswith("rel.")}
     assert "rel.messages_sent" in rel
 
 
@@ -78,14 +78,14 @@ def test_reliability_off_campaign_has_no_delivery_verdict():
     delivery oracle, no ``rel.*`` counters in the observable surface."""
     report = run_chaos(seed=7, steps=80, nodes=2)
     assert report.ok
-    assert report.delivery is None
-    assert not any(k.startswith("rel.") for k in report.fast.counters)
+    assert report.verdict("delivery") is None
+    assert not any(k.startswith("rel.") for k in report.primary.counters)
 
 
 # ------------------------------------------------------------- the oracle
 def test_oracle_requires_a_reliable_explorer():
     with pytest.raises(ValueError):
-        EventualDeliveryOracle(ScheduleExplorer(nodes=2))
+        delivery_twin(ScheduleExplorer(nodes=2))
 
 
 def test_oracle_flags_planted_loss():
@@ -93,24 +93,24 @@ def test_oracle_flags_planted_loss():
     lost message, or whose memory diverges, must be rejected."""
     actions = generate_schedule(seed=13, steps=60)
     explorer = ScheduleExplorer(nodes=2, reliability=True)
-    oracle = EventualDeliveryOracle(explorer)
+    oracle = delivery_twin(explorer)
     healthy = oracle.compare(actions)
     assert healthy.ok, healthy.mismatches[:3]
 
     faulted = explorer.run(actions)
     faulted.counters["rel.messages_delivered"] -= 1
-    lost = oracle.compare(actions, faulted=faulted)
+    lost = oracle.compare(actions, a=faulted)
     assert not lost.ok
     assert any("lost messages" in m for m in lost.mismatches)
 
     faulted = explorer.run(actions)
     faulted.counters["rel.delivery_failed"] = 1
-    exhausted = oracle.compare(actions, faulted=faulted)
+    exhausted = oracle.compare(actions, a=faulted)
     assert not exhausted.ok
     assert any("retry budget" in m for m in exhausted.mismatches)
 
     faulted = explorer.run(actions)
     faulted.mem_digest = "not-the-real-digest"
-    diverged = oracle.compare(actions, faulted=faulted)
+    diverged = oracle.compare(actions, a=faulted)
     assert not diverged.ok
     assert any("memory digest" in m for m in diverged.mismatches)

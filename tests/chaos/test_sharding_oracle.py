@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.chaos.sharding_oracle import (
-    ShardingOracle,
-    ShardingReport,
-    run_sharding_suite,
+from repro.chaos.oracles import (
+    pooling_twin,
+    shard_campaign,
+    sharding_twin,
     suite_specs,
 )
+from repro.chaos.twin import diff
 from repro.cli import main
 from repro.sharding import ClusterSpec, run_sharded
 
@@ -22,52 +23,49 @@ def small_spec(**overrides):
 
 class TestShardingOracle:
     def test_clean_comparison(self):
-        report = ShardingOracle(audit=False).compare(small_spec(), 2)
+        report = sharding_twin(2, audit=False).compare(small_spec())
         assert report.ok
         assert "bit-identical" in report.summary()
 
     def test_audited_comparison_counts_audits(self):
-        report = ShardingOracle(audit=True).compare(small_spec(), 2)
+        report = sharding_twin(2, audit=True).compare(small_spec())
         assert report.ok
-        assert report.sharded.audits == report.sharded.ops_executed
+        assert report.b.audits == report.b.ops_executed
 
     def test_reference_is_reusable(self):
-        oracle = ShardingOracle(audit=False)
-        first = oracle.compare(small_spec(), 2)
-        second = oracle.compare(
-            small_spec(), 2, engine="worker", reference=first.reference
+        first = sharding_twin(2, audit=False).compare(small_spec())
+        second = sharding_twin(2, engine="worker", audit=False).compare(
+            small_spec(), a=first.a
         )
         assert second.ok
-        assert second.reference is first.reference
+        assert second.a is first.a
 
     def test_divergence_is_reported_per_surface(self):
         spec = small_spec()
         reference = run_sharded(spec, num_shards=1)
-        report = ShardingOracle(audit=False).compare(spec, 2)
+        report = sharding_twin(2, audit=False).compare(spec)
         # Forge a divergence on every surface.
-        report.sharded.logs[0] = "forged"
-        report.sharded.digests["n0"] = "beef"
-        report.sharded.counters["n0.now"] += 1
-        report.mismatches.clear()
-        ShardingOracle()._diff(report)
+        report.b.logs[0] = "forged"
+        report.b.digests["n0"] = "beef"
+        report.b.counters["n0.now"] += 1
+        report.mismatches = diff(report.spec, report.a, report.b)
         assert not report.ok
         kinds = " ".join(report.mismatches)
         assert "audit log diverges" in kinds
-        assert "memory digest diverges" in kinds
+        assert "memory digest n0" in kinds
         assert "counter n0.now" in kinds
         del reference
 
     def test_run_error_is_captured_not_raised(self):
-        report = ShardingOracle(audit=False).compare(small_spec(), 99)
+        report = sharding_twin(99, audit=False).compare(small_spec())
         assert not report.ok
         assert report.error is not None
         assert "FAILED to run" in report.summary()
 
     def test_artifact_round_trips(self):
-        report = ShardingReport(spec=small_spec(seed=9), num_shards=2,
-                                engine="worker")
-        report.mismatches.append("counter n0.now: reference=1 vs sharded=2")
-        artifact = json.loads(report.artifact())
+        campaign = shard_campaign(num_shards=2, engine="worker", no_audit=True)
+        report = campaign.run(small_spec(seed=9))
+        artifact = json.loads(json.dumps(report.artifact()))
         assert artifact["kind"] == "sharding-differential-failure"
         assert ClusterSpec.from_dict(artifact["spec"]).seed == 9
         assert artifact["num_shards"] == 2
@@ -81,8 +79,8 @@ class TestSuite:
         assert any(s.topology == "torus2d" for s in specs)
 
     def test_suite_runs_clean(self):
-        reports = run_sharding_suite(
-            2, num_nodes=4, seeds=(0,), audit=False
+        reports = shard_campaign(num_shards=2, no_audit=True).run_suite(
+            (None, spec) for spec in suite_specs(num_nodes=4, seeds=(0,))
         )
         assert reports and all(r.ok for r in reports)
 
@@ -98,9 +96,9 @@ class TestChaosShardsCli:
 
     def test_failure_writes_artifact(self, tmp_path, monkeypatch, capsys):
         # Sabotage the sharded engine so the differential trips.
-        from repro.chaos import sharding_oracle
+        from repro.chaos import oracles
 
-        real = sharding_oracle.run_sharded
+        real = oracles.run_sharded
 
         def sabotage(spec, num_shards=1, engine="in-process", audit=False):
             result = real(spec, num_shards=num_shards, engine=engine,
@@ -109,7 +107,7 @@ class TestChaosShardsCli:
                 result.logs[0] = "forged divergence"
             return result
 
-        monkeypatch.setattr(sharding_oracle, "run_sharded", sabotage)
+        monkeypatch.setattr(oracles, "run_sharded", sabotage)
         artifact = tmp_path / "failure.json"
         code = main([
             "chaos", "--shards", "2", "--nodes", "4", "--no-audit",
@@ -130,29 +128,48 @@ class TestChaosShardsCli:
         }))
         code = main([
             "chaos", "--shards", "2", "--no-audit",
-            "--replay-spec", str(artifact),
+            "--replay", str(artifact),
         ])
         assert code == 0
         assert "bit-identical" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode_flags", [["--shards", "1"], ["--no-pool"], []])
+    def test_replay_runs_a_pooling_artifact_as_pooling(
+        self, tmp_path, capsys, mode_flags
+    ):
+        """A pooling artifact replays as a pooling comparison of its own
+        spec, whatever mode the other flags would select."""
+        from repro.chaos import write_artifact
+
+        campaign = shard_campaign(num_shards=1, no_audit=True, mode="pooling")
+        artifact = tmp_path / "pooling.json"
+        write_artifact(campaign.run(small_spec(seed=3)), str(artifact))
+        code = main(["chaos", *mode_flags, "--no-audit", "--replay", str(artifact)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "pooling oracle: pooled 1-shard" in out
+        assert "sharding oracle" not in out
+        assert "4-node linear spec, seed 3," in out
+        assert "16-node" not in out
+
 
 class TestPoolingOracle:
     def test_clean_pooling_comparison(self):
-        report = ShardingOracle(audit=False).compare_pooling(small_spec())
+        report = pooling_twin(audit=False).compare(small_spec())
         assert report.ok
-        assert report.mode == "pooling"
+        assert report.spec.name == "pooling"
         assert "pooling oracle" in report.summary()
         assert "vs pooling off" in report.summary()
 
     def test_pooling_comparison_at_multiple_shards(self):
-        report = ShardingOracle(audit=False).compare_pooling(
-            small_spec(), num_shards=2
-        )
+        report = pooling_twin(num_shards=2, audit=False).compare(small_spec())
         assert report.ok
 
     def test_pooling_artifact_kind(self):
-        report = ShardingOracle(audit=False).compare_pooling(small_spec())
-        data = json.loads(report.artifact())
+        report = shard_campaign(num_shards=1, no_audit=True, mode="pooling").run(
+            small_spec()
+        )
+        data = json.loads(json.dumps(report.artifact()))
         assert data["kind"] == "pooling-differential-failure"
         assert data["mode"] == "pooling"
 

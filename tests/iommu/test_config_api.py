@@ -1,9 +1,8 @@
 """The typed construction API: MachineConfig / ClusterConfig / IommuConfig.
 
-The redesign's contract: configs are frozen value objects, the legacy
-keyword constructors keep working through ``from_kwargs`` (with a
-``DeprecationWarning``), unknown keywords still raise ``TypeError``, and
-the ``iommu`` option exists *only* on the config objects.
+The redesign's contract: configs are frozen value objects, the
+constructors take a config plus wiring keywords only (anything else
+raises ``TypeError``), and the ``iommu`` option lives on the configs.
 """
 
 import dataclasses
@@ -13,8 +12,6 @@ import pytest
 from repro import ClusterConfig, Machine, MachineConfig, ShrimpCluster
 from repro.config import IommuConfig
 from repro.errors import ConfigurationError
-
-PAGE = 4096
 
 
 class TestConfigObjects:
@@ -54,16 +51,6 @@ class TestConfigObjects:
 
 
 class TestLegacyKeywords:
-    def test_machine_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="MachineConfig"):
-            machine = Machine(mem_size=1 << 20)
-        assert machine.config.mem_size == 1 << 20
-
-    def test_cluster_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            cluster = ShrimpCluster(num_nodes=2, mem_size=1 << 21)
-        assert cluster.num_nodes == 2
-
     def test_unknown_machine_kwarg_raises_type_error(self):
         with pytest.raises(TypeError, match="mem_sise"):
             Machine(mem_sise=1 << 20)
@@ -72,34 +59,6 @@ class TestLegacyKeywords:
         with pytest.raises(TypeError, match="nodes"):
             ShrimpCluster(nodes=2)
 
-    def test_iommu_is_config_only(self):
-        with pytest.raises(TypeError, match="config-only"):
-            Machine(iommu=True)
-        with pytest.raises(TypeError, match="config-only"):
-            ShrimpCluster(iommu=True)
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
-            Machine(config=MachineConfig(), mem_size=1 << 20)
-        with pytest.raises(TypeError, match="not both"):
-            ShrimpCluster(config=ClusterConfig(), num_nodes=2)
-
     def test_wiring_kwargs_stay_on_the_constructor(self):
         machine = Machine(config=MachineConfig(mem_size=1 << 20), name="n7")
         assert machine.name == "n7"
-
-    def test_legacy_and_config_builds_are_identical_simulations(self):
-        def run(machine):
-            proc = machine.create_process("p")
-            buf = machine.kernel.syscalls.alloc(proc, 4 * PAGE)
-            machine.kernel.scheduler.switch_to(proc)
-            machine.cpu.write_bytes(buf, bytes(range(256)))
-            machine.clock.run_until_idle()
-            return machine.clock.now, machine.cpu.charged_cycles
-
-        with pytest.warns(DeprecationWarning):
-            legacy = run(Machine(mem_size=1 << 20, bounce_frames=4))
-        typed = run(Machine(
-            config=MachineConfig(mem_size=1 << 20, bounce_frames=4)
-        ))
-        assert legacy == typed

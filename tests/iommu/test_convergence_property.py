@@ -3,7 +3,7 @@
 Three properties, Hypothesis-driven over seeds:
 
 * chaos paging schedules on a 2-node cluster pass the
-  :class:`~repro.chaos.oracle.IommuConvergenceOracle` -- the faulted run
+  :func:`~repro.chaos.oracles.convergence_twin` -- the faulted run
   converges to its paging-free twin with an exact delivery ledger;
 * a sharded iommu cluster is bit-identical at 1 vs 4 shards (the
   park/service/replay events are local clock events, so the PDES
@@ -28,7 +28,7 @@ PAGE = 4096
 def test_chaos_paging_schedules_converge(seed):
     report = run_chaos(seed=seed, steps=60, nodes=2, iommu=True)
     assert report.ok, report.summary()
-    assert report.convergence is not None  # the oracle actually ran
+    assert report.verdict("convergence") is not None  # the oracle actually ran
 
 
 def _spec(seed, iommu):

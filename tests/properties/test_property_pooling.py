@@ -16,7 +16,7 @@ import hashlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.chaos.sharding_oracle import ShardingOracle
+from repro.chaos.oracles import pooling_twin
 from repro.cluster import ShrimpCluster
 from repro.sharding import ClusterSpec
 from repro.traffic import TenantPlacement, TrafficEngine, make_pattern
@@ -39,9 +39,7 @@ def test_sharded_pooling_differential(num_nodes, seed, messages, gap, shards):
         num_nodes=num_nodes, topology="mesh2d", seed=seed,
         messages_per_node=messages, gap_cycles=gap,
     )
-    report = ShardingOracle(audit=True).compare_pooling(
-        spec, num_shards=shards
-    )
+    report = pooling_twin(num_shards=shards).compare(spec)
     assert report.ok, report.summary()
 
 

@@ -10,19 +10,27 @@ import json
 import pytest
 
 from repro.chaos import (
-    ConformanceOracle,
     actions_from_json,
+    conformance_campaign,
     generate_schedule,
     outcome_class,
-    run_conformance_suite,
-    write_conformance_artifact,
+    write_artifact,
 )
-from repro.chaos.conformance import PROTECTION_BACKENDS
+from repro.chaos.oracles import PROTECTION_BACKENDS
 
 #: seeds x steps for the stock-conformance sweep; CI adds more via the
 #: CLI campaign (see .github/workflows/ci.yml)
 STOCK_SEEDS = range(6)
 STEPS = 35
+
+
+def _suite(seeds, nodes, backends, shrink_evals=200):
+    """Seeded churn schedules up to (and shrinking) the first divergence."""
+    campaign = conformance_campaign(nodes=nodes, backends=backends)
+    return campaign.run_suite(
+        ((s, generate_schedule(s, STEPS, profile="churn")) for s in seeds),
+        shrink_evals=shrink_evals,
+    )
 
 
 class TestOutcomeClass:
@@ -35,41 +43,35 @@ class TestOutcomeClass:
 class TestOracleShape:
     def test_needs_two_backends(self):
         with pytest.raises(ValueError):
-            ConformanceOracle(backends=("proxy",))
+            conformance_campaign(backends=("proxy",))
 
     def test_report_runs_keyed_by_spec(self):
-        oracle = ConformanceOracle(nodes=1, backends=("proxy", "handler"))
-        report = oracle.compare(generate_schedule(0, 10, profile="churn"))
-        assert list(report.runs) == ["proxy", "handler"]
+        oracle = conformance_campaign(nodes=1, backends=("proxy", "handler"))
+        report = oracle.run(generate_schedule(0, 10, profile="churn"))
+        assert [v.spec.sides for v in report.verdicts] == [("proxy", "handler")]
         assert report.ok
 
 
 class TestStockBackendsConform:
     def test_cluster_suite(self):
-        suite = run_conformance_suite(
-            seeds=STOCK_SEEDS, steps=STEPS, nodes=2,
-            backends=PROTECTION_BACKENDS,
-        )
-        assert suite.ok, suite.summary()
-        assert len(suite.reports) == len(STOCK_SEEDS)
+        suite = _suite(STOCK_SEEDS, nodes=2, backends=PROTECTION_BACKENDS)
+        assert all(r.ok for r in suite), suite[-1].summary()
+        assert len(suite) == len(STOCK_SEEDS)
 
     def test_single_node_suite(self):
-        suite = run_conformance_suite(
-            seeds=STOCK_SEEDS, steps=STEPS, nodes=1,
-            backends=PROTECTION_BACKENDS,
-        )
-        assert suite.ok, suite.summary()
+        suite = _suite(STOCK_SEEDS, nodes=1, backends=PROTECTION_BACKENDS)
+        assert all(r.ok for r in suite), suite[-1].summary()
 
     def test_within_backend_determinism(self):
-        oracle = ConformanceOracle(
+        oracle = conformance_campaign(
             nodes=2, backends=PROTECTION_BACKENDS, check_determinism=True
         )
-        report = oracle.compare(generate_schedule(7, STEPS, profile="churn"))
+        report = oracle.run(generate_schedule(7, STEPS, profile="churn"))
         assert report.ok, report.summary()
 
     def test_default_profile_also_conforms(self):
-        oracle = ConformanceOracle(nodes=2, backends=PROTECTION_BACKENDS)
-        report = oracle.compare(generate_schedule(3, STEPS))
+        oracle = conformance_campaign(nodes=2, backends=PROTECTION_BACKENDS)
+        report = oracle.run(generate_schedule(3, STEPS))
         assert report.ok, report.summary()
 
 
@@ -78,47 +80,41 @@ class TestPlantedBugsAreCaught:
 
     @staticmethod
     def _hunt(backends, nodes=2, seeds=range(30)):
-        return run_conformance_suite(
-            seeds=seeds, steps=STEPS, nodes=nodes, backends=backends,
-            max_shrink_evals=80,
-        )
+        suite = _suite(seeds, nodes=nodes, backends=backends, shrink_evals=80)
+        return suite[-1] if not suite[-1].ok else None
 
     def test_stale_cap_caught_and_shrunk(self):
-        suite = self._hunt(("proxy", "captable:stale-cap"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "captable:stale-cap"))
         assert failure is not None, "stale-cap bug escaped the suite"
         assert failure.mismatches
         assert failure.shrunk is not None
-        assert len(failure.shrunk.actions) < len(failure.actions)
+        assert len(failure.shrunk.actions) < len(failure.subject)
 
     def test_skip_align_caught(self):
-        suite = self._hunt(("proxy", "handler:skip-align"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "handler:skip-align"))
         assert failure is not None, "skip-align bug escaped the suite"
         assert failure.shrunk is not None
 
     def test_artifact_round_trips(self, tmp_path):
-        suite = self._hunt(("proxy", "captable:stale-cap"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "captable:stale-cap"))
         assert failure is not None
         path = tmp_path / "protection-failure.json"
-        write_conformance_artifact(failure, str(path))
+        write_artifact(failure, str(path))
         payload = json.loads(path.read_text())
         assert payload["kind"] == "protection-conformance"
         assert payload["backends"] == ["proxy", "captable:stale-cap"]
         assert payload["mismatches"]
         # The stored (shrunk) schedule still splits the backends.
         actions = actions_from_json(payload["actions"])
-        oracle = ConformanceOracle(
+        oracle = conformance_campaign(
             nodes=payload["nodes"], backends=payload["backends"]
         )
-        assert not oracle.compare(actions).ok
+        assert not oracle.run(actions).ok
 
     def test_shrunk_schedule_still_diverges(self):
-        suite = self._hunt(("proxy", "captable:stale-cap"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "captable:stale-cap"))
         assert failure is not None and failure.shrunk is not None
-        oracle = ConformanceOracle(
+        oracle = conformance_campaign(
             nodes=2, backends=("proxy", "captable:stale-cap")
         )
-        assert not oracle.compare(failure.shrunk.actions).ok
+        assert not oracle.run(failure.shrunk.actions).ok

@@ -88,9 +88,9 @@ def test_run_chaos_pass_campaign_identical_with_checkpoints():
     plain = run_chaos(seed=9, steps=50, nodes=2)
     checked = run_chaos(seed=9, steps=50, nodes=2, checkpoint_every=10)
     assert plain.ok and checked.ok
-    assert checked.fast.audit_log == plain.fast.audit_log
-    assert checked.fast.counters == plain.fast.counters
-    assert checked.fast.mem_digest == plain.fast.mem_digest
+    assert checked.primary.audit_log == plain.primary.audit_log
+    assert checked.primary.counters == plain.primary.counters
+    assert checked.primary.mem_digest == plain.primary.mem_digest
 
 
 def test_shrunk_reproducer_identical_with_checkpoints():
@@ -111,7 +111,7 @@ def test_shrunk_reproducer_identical_with_checkpoints():
     assert checked.shrunk.actions == plain.shrunk.actions
     assert checked.shrunk.evaluations == plain.shrunk.evaluations
     assert checked.repro == plain.repro
-    assert checked.fast.audit_log == plain.fast.audit_log
+    assert checked.primary.audit_log == plain.primary.audit_log
     assert checked.failure_message == plain.failure_message
 
 
@@ -123,6 +123,6 @@ def test_checkpointed_failure_identical_no_inval():
     )
     assert plain.ok == checked.ok
     assert checked.failure_message == plain.failure_message
-    assert checked.fast.audit_log == plain.fast.audit_log
+    assert checked.primary.audit_log == plain.primary.audit_log
     if plain.shrunk is not None:
         assert checked.shrunk.actions == plain.shrunk.actions
