@@ -23,7 +23,7 @@ dirty, the receiving-side I3 discipline for device-to-memory writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigurationError, SyscallError
@@ -132,6 +132,78 @@ def export_receive_buffer(
     return tuple(frames)
 
 
+def build_node(
+    config: ClusterConfig,
+    node_id: int,
+    clock: Clock,
+    interconnect: Interconnect,
+    tracer: Optional[Tracer] = None,
+    reliability: Optional[ReliabilityPlane] = None,
+) -> Tuple[Machine, ShrimpNic]:
+    """Build one node (machine + NIC on the backplane).
+
+    The only node constructor: :class:`ShrimpCluster` and the sharded
+    engine's shards both build here, each passing one config per
+    assembly whose ``obs`` is its shared observability plane; the other
+    arguments are the assembly's live wiring.
+    """
+    machine = Machine(
+        config=config.node_config(),
+        clock=clock,
+        tracer=tracer,
+        name=f"node{node_id}",
+    )
+    nic = ShrimpNic(
+        node_id=node_id,
+        costs=machine.costs,
+        physmem=machine.physmem,
+        nipt_entries=config.nipt_entries,
+        cut_through=config.cut_through,
+    )
+    machine.attach_device(nic)
+    nic.connect(interconnect)
+    if reliability is not None:
+        nic.enable_reliability(reliability)
+    # Wire the bus snooper for the automatic-update extension.
+    machine.cpu.store_snoop = nic.snoop_store
+    return machine, nic
+
+
+def node_counters(
+    i: int, machine: Machine, nic: Optional[ShrimpNic]
+) -> Dict[str, int]:
+    """Curated counters of node ``i`` that every differential oracle compares.
+
+    Translation-cache totals are absent: they legitimately differ
+    between fast and reference paths.  ``nic{i}.*`` needs a NIC, and the
+    ``io{i}.*`` park/replay ledger exists only under the IOMMU tier.
+    """
+    cpu, vm = machine.cpu, machine.kernel.vm
+    sched = machine.kernel.scheduler
+    p = f"n{i}."
+    counters = {
+        p + "loads": cpu.loads,
+        p + "stores": cpu.stores,
+        p + "instructions": cpu.instructions,
+        p + "charged": cpu.charged_cycles,
+        p + "faults": vm.faults_handled,
+        p + "proxy_faults": vm.proxy_faults,
+        p + "mmu_faults": machine.mmu.faults,
+        p + "switches": sched.switches,
+        p + "invals": sched.invals_fired,
+    }
+    if nic is not None:
+        p = f"nic{i}."
+        counters[p + "tx"] = nic.packets_sent
+        counters[p + "rx"] = nic.packets_received
+        counters[p + "rx_err"] = nic.rx_errors
+        counters[p + "bytes_rx"] = nic.bytes_received
+    if machine.iommu is not None:
+        for name, value in machine.iommu.counters().items():
+            counters[f"io{i}.{name}"] = value
+    return counters
+
+
 class ShrimpCluster:
     """N SHRIMP nodes on one backplane.
 
@@ -228,29 +300,14 @@ class ShrimpCluster:
         # Starts as one big range, so allocation order matches the old
         # bump allocator until something is released.
         self._nipt_free: List[List[Tuple[int, int]]] = []
-        node_config = config.node_config().replace(
+        node_config = config.replace(
             costs=self.costs, protection=self.protection, obs=self.obs
         )
         for i in range(num_nodes):
-            node = Machine(
-                config=node_config,
-                clock=self.clock,
-                tracer=self.tracer,
-                name=f"node{i}",
+            node, nic = build_node(
+                node_config, i, self.clock, self.interconnect,
+                tracer=self.tracer, reliability=self.reliability,
             )
-            nic = ShrimpNic(
-                node_id=i,
-                costs=self.costs,
-                physmem=node.physmem,
-                nipt_entries=config.nipt_entries,
-                cut_through=config.cut_through,
-            )
-            node.attach_device(nic)
-            nic.connect(self.interconnect)
-            if self.reliability is not None:
-                nic.enable_reliability(self.reliability)
-            # Wire the bus snooper for the automatic-update extension.
-            node.cpu.store_snoop = nic.snoop_store
             self.nodes.append(node)
             self.nics.append(nic)
             self._nipt_free.append([(0, config.nipt_entries)])

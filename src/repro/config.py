@@ -20,6 +20,7 @@ The constructors take no other keywords: an unknown one raises
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -157,12 +158,17 @@ class ClusterConfig:
         return IommuConfig.coerce(self.iommu)
 
     def node_config(self) -> MachineConfig:
-        """The per-node :class:`MachineConfig` projection.
+        """The per-node :class:`MachineConfig` projection, built once.
 
-        ``obs``/``reliability`` are intentionally absent: the cluster owns
-        one shared observability plane and one shared transport plane and
-        wires them itself.
+        ``reliability`` is intentionally absent: a cluster owns one shared
+        transport plane and wires it itself.  ``obs`` passes through, so a
+        config whose ``obs`` is an assembly's shared plane puts every node
+        it builds on that plane (see :func:`repro.cluster.build_node`).
         """
+        return self._node_config
+
+    @cached_property
+    def _node_config(self) -> MachineConfig:
         return MachineConfig(
             costs=self.costs,
             mem_size=self.mem_size,
@@ -173,4 +179,5 @@ class ClusterConfig:
             fast_paths=self.fast_paths,
             protection=self.protection,
             iommu=self.iommu,
+            obs=self.obs,
         )

@@ -13,7 +13,7 @@ from repro.sharding.engine import (
     build_shards,
     run_sharded,
 )
-from repro.sharding.shard import Shard, probe_canonical_frames
+from repro.sharding.shard import Shard
 from repro.sharding.spec import ClusterSpec, ShardSpec, partition
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "WorkerEngine",
     "build_shards",
     "partition",
-    "probe_canonical_frames",
     "run_sharded",
 ]

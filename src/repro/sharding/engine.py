@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationLimitError
-from repro.params import CostModel
-from repro.sharding.shard import INFINITY, Shard, probe_canonical_frames
+from repro.sharding.shard import INFINITY, Shard, check_rx_pages
 from repro.sharding.spec import ClusterSpec, ShardSpec, partition
 
 #: consecutive no-progress, no-traffic, promises-unchanged rounds the
@@ -106,29 +105,25 @@ def _merge(engine: str, num_shards: int, reports: List[dict], rounds: int) -> Sh
     return result
 
 
-def build_shards(
-    spec: ClusterSpec,
-    num_shards: int,
-    costs: "CostModel | None" = None,
-    audit: bool = False,
-) -> List[Shard]:
-    """Probe the canonical frames once, then construct every shard."""
-    frames = probe_canonical_frames(spec, costs)
-    blocks = partition(spec.num_nodes, num_shards)
+def shard_specs(spec: ClusterSpec, num_shards: int) -> List[ShardSpec]:
+    """Partition the spec's nodes into one :class:`ShardSpec` per shard."""
     return [
-        Shard(
-            spec,
-            ShardSpec(
-                index=j,
-                num_shards=num_shards,
-                nodes=block,
-                rx_frames=frames,
-            ),
-            costs=costs,
-            audit=audit,
-        )
-        for j, block in enumerate(blocks)
+        ShardSpec(index=j, num_shards=num_shards, nodes=block)
+        for j, block in enumerate(partition(spec.num_nodes, num_shards))
     ]
+
+
+def build_shards(
+    spec: ClusterSpec, num_shards: int, audit: bool = False
+) -> List[Shard]:
+    """Construct every shard, refusing shards whose receive pages differ."""
+    shards = [
+        Shard(spec, shard_spec, audit=audit)
+        for shard_spec in shard_specs(spec, num_shards)
+    ]
+    for shard in shards[1:]:
+        check_rx_pages(shard.order[0], shard.rx_pages, shards[0].rx_pages)
+    return shards
 
 
 class InProcessEngine:
@@ -138,7 +133,6 @@ class InProcessEngine:
         self,
         spec: ClusterSpec,
         num_shards: int = 1,
-        costs: "CostModel | None" = None,
         audit: bool = False,
     ) -> None:
         self.spec = spec
@@ -146,7 +140,7 @@ class InProcessEngine:
         #: host seconds spent inside :meth:`run` (construction happens
         #: in ``__init__``, so the run window is pure execution)
         self.timed_seconds: Optional[float] = None
-        self.shards = build_shards(spec, num_shards, costs=costs, audit=audit)
+        self.shards = build_shards(spec, num_shards, audit=audit)
         owner: Dict[int, Shard] = {}
         for shard in self.shards:
             for node_id in shard.shard_spec.nodes:
@@ -231,7 +225,7 @@ def _worker_main(conn, spec: ClusterSpec, shard_spec: ShardSpec, audit: bool) ->
     """
     try:
         shard = Shard(spec, shard_spec, audit=audit)
-        conn.send({"ready": True})
+        conn.send({"ready": True, "rx_pages": shard.rx_pages})
         while True:
             progress = shard.run_until_blocked()
             msgs = shard.outbox
@@ -291,25 +285,15 @@ class WorkerEngine:
         self._ctx = mp.get_context(mp_context)
 
     def run(self, max_rounds: int = 1_000_000) -> ShardRunResult:
-        frames = probe_canonical_frames(self.spec)
-        blocks = partition(self.spec.num_nodes, self.num_shards)
-        shard_specs = [
-            ShardSpec(
-                index=j,
-                num_shards=self.num_shards,
-                nodes=block,
-                rx_frames=frames,
-            )
-            for j, block in enumerate(blocks)
-        ]
+        specs = shard_specs(self.spec, self.num_shards)
         owner: Dict[int, int] = {
-            node_id: j
-            for j, block in enumerate(blocks)
-            for node_id in block
+            node_id: shard_spec.index
+            for shard_spec in specs
+            for node_id in shard_spec.nodes
         }
         conns = []
         workers = []
-        for shard_spec in shard_specs:
+        for shard_spec in specs:
             parent_conn, child_conn = self._ctx.Pipe()
             worker = self._ctx.Process(
                 target=_worker_main,
@@ -321,12 +305,16 @@ class WorkerEngine:
             conns.append(parent_conn)
             workers.append(worker)
         try:
-            for conn in conns:
+            canonical = None
+            for shard_spec, conn in zip(specs, conns):
                 ready = conn.recv()
                 if "error" in ready:
                     raise ConfigurationError(
                         f"shard worker failed to build: {ready['error']}"
                     )
+                if canonical is None:
+                    canonical = ready["rx_pages"]
+                check_rx_pages(shard_spec.nodes[0], ready["rx_pages"], canonical)
             t0 = time.perf_counter()
             rounds = self._relay(conns, owner, max_rounds)
             self.timed_seconds = time.perf_counter() - t0

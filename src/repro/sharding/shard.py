@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.workloads import make_payload
-from repro.cluster import export_receive_buffer
-from repro.config import MachineConfig
+from repro.cluster import build_node, export_receive_buffer, node_counters
+from repro.config import ClusterConfig
 from repro.errors import ConfigurationError, DmaError
 from repro.kernel.invariants import InvariantChecker
 from repro.kernel.process import Process
@@ -46,9 +46,10 @@ from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.obs import Observability, ObsConfig
 from repro.params import CostModel, shrimp
-from repro.sharding.spec import RETRY_GAP_CYCLES, ClusterSpec, ShardSpec
+from repro.sharding.spec import ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
 from repro.sim.trace import NULL_TRACER, Tracer
+from repro.traffic.engine import RETRY_GAP_CYCLES
 from repro.userlib.udma import UdmaUser
 
 #: canonical key class of a workload step: sorts after every hardware
@@ -117,43 +118,13 @@ class NodeRuntime:
     next_step: Optional[int]
     rx_proc: Process
     rx_buf: int
+    #: what NIPT entries name: frames, or (asid, vpage) under the IOMMU
+    rx_pages: Tuple
     in_links: List[Tuple[int, int]] = field(default_factory=list)
     sent: int = 0
     steps: int = 0
     retries: int = 0
     log: List[str] = field(default_factory=list)
-
-
-def build_node(
-    spec: ClusterSpec,
-    costs: CostModel,
-    node_id: int,
-    obs: Observability,
-    interconnect: Interconnect,
-) -> Tuple[Machine, ShrimpNic]:
-    """Construct one node (machine + NIC) on a fresh ShardClock."""
-    machine = Machine(
-        config=MachineConfig(
-            costs=costs,
-            mem_size=spec.mem_size,
-            obs=obs,
-            fast_paths=True,
-            iommu=spec.iommu,
-        ),
-        clock=ShardClock(pooling=spec.pooling),
-        name=f"node{node_id}",
-    )
-    nic = ShrimpNic(
-        node_id=node_id,
-        costs=costs,
-        physmem=machine.physmem,
-        nipt_entries=spec.nipt_entries,
-        cut_through=True,
-    )
-    machine.attach_device(nic)
-    nic.connect(interconnect)
-    machine.cpu.store_snoop = nic.snoop_store
-    return machine, nic
 
 
 def setup_node(
@@ -162,15 +133,14 @@ def setup_node(
     node_id: int,
     machine: Machine,
     nic: ShrimpNic,
-    canonical_frames: Optional[Tuple[int, ...]] = None,
 ) -> NodeRuntime:
     """Run the per-node OS setup and return the workload runtime.
 
     Every node performs the identical sequence -- receive process and
-    buffer, export, sender NIPT install (naming the *canonical* frames),
-    send process, grant, buffer fill -- so construction is deterministic
-    and the canonical-frame substitution is sound.  The assertion makes
-    a divergence loud rather than a silent digest mismatch.
+    buffer, export, sender NIPT install, send process, grant, buffer
+    fill -- so a node's own receive pages are its ring successor's, and
+    its NIPT entries name the pages it just exported.  The shards and
+    engines compare every node's ``rx_pages`` (:func:`check_rx_pages`).
     """
     ps = costs.page_size
     npages = spec.channel_pages
@@ -184,30 +154,19 @@ def setup_node(
         # Virtual-address tier: export the window to the IOMMU and leave
         # the buffer *cold* -- no residency, no pin -- so the first
         # delivery to each page parks, fault-services and replays.  The
-        # NIPT names the destination's (asid, vpage); identical
-        # construction makes our own rx identifiers the destination's,
-        # so no canonical-frame probe is needed (or possible: frames are
-        # assigned at fault-service time).
+        # NIPT names (asid, vpage); frames come at fault-service time.
         assert machine.iommu is not None
         base_vpage = rx_buf // ps
-        for i in range(npages):
-            machine.iommu.register_window(
-                rx_proc.asid, base_vpage + i, writable=True
-            )
-        for k in range(npages):
-            nic.nipt.set_entry(k, dst, base_vpage + k, rx_proc.asid)
+        rx_pages: Tuple = tuple(
+            (rx_proc.asid, base_vpage + k) for k in range(npages)
+        )
+        for k, (asid, vpage) in enumerate(rx_pages):
+            machine.iommu.register_window(asid, vpage, writable=True)
+            nic.nipt.set_entry(k, dst, vpage, asid)
     else:
-        frames = export_receive_buffer(machine, rx_proc, rx_buf, npages)
-        if canonical_frames is not None and frames != tuple(canonical_frames):
-            raise ConfigurationError(
-                f"node {node_id} receive frames {frames} diverged from the "
-                f"canonical {tuple(canonical_frames)}; deterministic "
-                "construction is broken"
-            )
-        # Sender side of the ring channel node_id -> dst: NIPT entries
-        # name the destination's canonical frames (identical construction
-        # makes them knowable without touching the destination's shard).
-        for k, frame in enumerate(canonical_frames or frames):
+        # Sender side of the ring channel node_id -> dst.
+        rx_pages = export_receive_buffer(machine, rx_proc, rx_buf, npages)
+        for k, frame in enumerate(rx_pages):
             nic.nipt.set_entry(k, dst, frame)
 
     tx_proc = machine.create_process(f"tx{node_id}")
@@ -234,6 +193,7 @@ def setup_node(
         gap=spec.gap_cycles,
         rx_proc=rx_proc,
         rx_buf=rx_buf,
+        rx_pages=rx_pages,
         # Setup itself charges the node's clock (identically on every
         # node); the schedule is relative to that end so the per-node
         # jitter survives whatever setup costs.
@@ -241,26 +201,13 @@ def setup_node(
     )
 
 
-def probe_canonical_frames(
-    spec: ClusterSpec, costs: "CostModel | None" = None
-) -> Tuple[int, ...]:
-    """Build one throwaway template node; return its receive frames."""
-    if spec.iommu:
-        # Virtual NIPT entries carry (asid, vpage), not frames; frames
-        # are assigned at fault-service time, so there is nothing to
-        # probe and nothing for senders to need.
-        return ()
-    costs = costs if costs is not None else shrimp()
-    scratch = Interconnect(Clock(), costs, topology="linear")
-    obs = Observability(ObsConfig(metrics=False))
-    machine, nic = build_node(spec, costs, 0, obs, scratch)
-    rt = setup_node(spec, costs, 0, machine, nic)
-    del rt
-    ps = costs.page_size
-    # Re-derive the frames from the NIPT install (entry k names frame k).
-    return tuple(
-        nic.nipt.require(k).dst_page for k in range(spec.channel_pages)
-    )
+def check_rx_pages(node_id: int, pages: Tuple, canonical: Tuple) -> None:
+    """Refuse a node whose receive pages (see :func:`setup_node`) diverged."""
+    if pages != canonical:
+        raise ConfigurationError(
+            f"node {node_id} receive pages {pages} diverged from the "
+            f"canonical {canonical}; deterministic construction is broken"
+        )
 
 
 class Shard:
@@ -270,13 +217,12 @@ class Shard:
         self,
         spec: ClusterSpec,
         shard_spec: ShardSpec,
-        costs: "CostModel | None" = None,
         tracer: "Tracer | None" = None,
         audit: bool = False,
     ) -> None:
         self.spec = spec
         self.shard_spec = shard_spec
-        self.costs = costs if costs is not None else shrimp()
+        self.costs = shrimp()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: per-shard observability plane; node metrics land as node{i}.*
         self.obs = Observability(ObsConfig(metrics=True))
@@ -305,14 +251,21 @@ class Shard:
 
         lookaheads = spec.lookaheads(self.costs)
         local = set(shard_spec.nodes)
+        node_config = ClusterConfig(
+            costs=self.costs, mem_size=spec.mem_size,
+            nipt_entries=spec.nipt_entries, iommu=spec.iommu, obs=self.obs,
+        )
+        #: receive pages every node of this shard yields (see setup_node)
+        self.rx_pages: Tuple = ()
         for node_id in self.order:
             machine, nic = build_node(
-                spec, self.costs, node_id, self.obs, self.interconnect
+                node_config, node_id, ShardClock(pooling=spec.pooling),
+                self.interconnect,
             )
-            rt = setup_node(
-                spec, self.costs, node_id, machine, nic,
-                canonical_frames=shard_spec.rx_frames or None,
-            )
+            rt = setup_node(spec, self.costs, node_id, machine, nic)
+            if node_id == self.order[0]:
+                self.rx_pages = rt.rx_pages
+            check_rx_pages(node_id, rt.rx_pages, self.rx_pages)
             rt.in_links = [
                 (s, lookaheads[(s, d)])
                 for (s, d) in spec.links()
@@ -326,9 +279,13 @@ class Shard:
             for (s, d) in spec.links()
             if s in local and d not in local
         ]
+        self._bind_metrics()
+
+    def _bind_metrics(self) -> None:
+        """Register the shard-level backplane and execution counters."""
         reg = self.obs.registry
         ic = self.interconnect
-        p = f"shard{shard_spec.index}."
+        p = f"shard{self.shard_spec.index}."
         reg.counter(p + "backplane.packets_routed", lambda: ic.packets_routed)
         reg.counter(p + "backplane.bytes_routed", lambda: ic.bytes_routed)
         reg.counter(p + "ops_executed", lambda: self.ops_executed)
@@ -343,15 +300,8 @@ class Shard:
         """
         for rt in self.runtimes.values():
             rt.machine._reattach_after_restore()
-        reg = self.obs.registry
-        ic = self.interconnect
-        p = f"shard{self.shard_spec.index}."
-        with reg.rebinding():
-            reg.counter(
-                p + "backplane.packets_routed", lambda: ic.packets_routed
-            )
-            reg.counter(p + "backplane.bytes_routed", lambda: ic.bytes_routed)
-            reg.counter(p + "ops_executed", lambda: self.ops_executed)
+        with self.obs.registry.rebinding():
+            self._bind_metrics()
 
     # ----------------------------------------------------------- delivery
     def handoff(self, src: int, dst: int, delay: int, wire) -> None:
@@ -550,41 +500,6 @@ class Shard:
         return promises
 
     # ------------------------------------------------------------ observers
-    def node_counters(self, rt: NodeRuntime) -> Dict[str, int]:
-        """Curated per-node counters (the chaos oracle's set)."""
-        machine = rt.machine
-        cpu, vm = machine.cpu, machine.kernel.vm
-        sched = machine.kernel.scheduler
-        i = rt.node_id
-        extra: Dict[str, int] = {}
-        if machine.iommu is not None:
-            # The park/replay ledger joins the determinism surface: a
-            # shard-count-dependent fault service would show up here
-            # before it corrupted a digest.
-            extra = {
-                f"io{i}.{key}": value
-                for key, value in machine.iommu.counters().items()
-            }
-        return {
-            **extra,
-            f"n{i}.now": rt.clock.now,
-            f"n{i}.loads": cpu.loads,
-            f"n{i}.stores": cpu.stores,
-            f"n{i}.instructions": cpu.instructions,
-            f"n{i}.charged": cpu.charged_cycles,
-            f"n{i}.faults": vm.faults_handled,
-            f"n{i}.proxy_faults": vm.proxy_faults,
-            f"n{i}.mmu_faults": machine.mmu.faults,
-            f"n{i}.switches": sched.switches,
-            f"n{i}.invals": sched.invals_fired,
-            f"n{i}.xlat_hits": cpu.xlat_hits,
-            f"n{i}.xlat_misses": cpu.xlat_misses,
-            f"nic{i}.tx": rt.nic.packets_sent,
-            f"nic{i}.rx": rt.nic.packets_received,
-            f"nic{i}.rx_err": rt.nic.rx_errors,
-            f"nic{i}.bytes_rx": rt.nic.bytes_received,
-        }
-
     def report(self) -> dict:
         """Everything the engine needs to merge: logs, counters, digests.
 
@@ -604,7 +519,11 @@ class Shard:
                 f"rx={rt.nic.packets_received} t={rt.clock.now}"
             )
             logs[node_id] = rt.log + [summary]
-            counters.update(self.node_counters(rt))
+            counters.update(node_counters(node_id, rt.machine, rt.nic))
+            cpu = rt.machine.cpu
+            counters[f"n{node_id}.now"] = rt.clock.now
+            counters[f"n{node_id}.xlat_hits"] = cpu.xlat_hits
+            counters[f"n{node_id}.xlat_misses"] = cpu.xlat_misses
             h = hashlib.blake2b(digest_size=16)
             h.update(rt.machine.physmem.view(0, rt.machine.physmem.size))
             digests[f"n{node_id}"] = h.hexdigest()

@@ -11,11 +11,12 @@ failing-schedule artifacts.
 The determinism contract hangs off two properties of the spec:
 
 * **Deterministic construction.**  Every node is built by the same code
-  path with the same parameters, so the physical frames backing each
-  node's receive buffer are identical across nodes.  The sending side's
-  NIPT entries can therefore name the *canonical* frames (probed from a
-  template node) without ever touching the receiving node's shard --
-  cross-shard packet handoff stays the only inter-shard channel.
+  path with the same parameters, so the pages backing each node's
+  receive buffer are identical across nodes.  A sender's NIPT entries
+  can therefore name the pages its *own* node just exported without ever
+  touching the receiving node's shard -- cross-shard packet handoff
+  stays the only inter-shard channel.  The shards compare every node's
+  pages, within and across shards, and refuse a divergence.
 
 * **Fixed lookahead.**  The minimum latency from a send on ``src`` to an
   arrival at ``dst`` is the dimension-ordered routing distance times
@@ -26,14 +27,11 @@ The determinism contract hangs off two properties of the spec:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.params import CostModel, shrimp
-
-#: gap before a failed (device-busy) initiation is retried
-RETRY_GAP_CYCLES = 512
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,15 @@ class ClusterSpec:
             raise ConfigurationError("messages_per_node must be >= 1")
         if self.gap_cycles < 1 or self.start_cycle < 0:
             raise ConfigurationError("gap_cycles/start_cycle out of range")
+        if self.channel_pages < 1:
+            raise ConfigurationError(
+                f"channel_pages must be >= 1, got {self.channel_pages}"
+            )
+        if self.nipt_entries < self.channel_pages:
+            raise ConfigurationError(
+                f"nipt_entries must be >= channel_pages "
+                f"({self.channel_pages}), got {self.nipt_entries}"
+            )
 
     # ------------------------------------------------------------ schedule
     def start_offset(self, node: int) -> int:
@@ -147,16 +154,11 @@ class ShardSpec:
         index: shard number in [0, num_shards).
         num_shards: total shard count.
         nodes: node ids this shard owns (a contiguous block).
-        rx_frames: canonical receive-buffer frames every node's identical
-            construction yields (probed once from a template node); the
-            sender side's NIPT entries name these without touching the
-            receiving shard.
     """
 
     index: int
     num_shards: int
     nodes: Tuple[int, ...]
-    rx_frames: Tuple[int, ...] = field(default=())
 
 
 def partition(num_nodes: int, num_shards: int) -> List[Tuple[int, ...]]:

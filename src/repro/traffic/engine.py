@@ -35,8 +35,8 @@ from repro.traffic.generators import TrafficPattern, Xorshift, _mix_seed, make_p
 from repro.traffic.tenants import TenantPlacement
 from repro.config import ClusterConfig
 
-#: Retry delay after a busy UDMA engine, mirroring the sharded transport's
-#: RETRY_GAP_CYCLES so single-clock and sharded workloads back off alike.
+#: Retry delay after a busy UDMA engine; the sharded workload
+#: (:mod:`repro.sharding.shard`) imports it, so both back off alike.
 RETRY_GAP_CYCLES = 512
 
 

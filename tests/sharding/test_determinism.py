@@ -13,11 +13,10 @@ from repro.params import shrimp
 from repro.sharding import (
     ClusterSpec,
     InProcessEngine,
-    build_shards,
-    probe_canonical_frames,
     run_sharded,
 )
-from repro.sharding.shard import STEP_KEY, Shard
+from repro.sharding import shard as shard_module
+from repro.sharding.shard import STEP_KEY, Shard, setup_node
 from repro.sharding.spec import ShardSpec
 
 
@@ -102,40 +101,34 @@ class TestAuditedRuns:
 
 
 class TestConservativeMachinery:
-    def test_canonical_frames_are_probed_deterministically(self):
-        spec = small_spec()
-        assert probe_canonical_frames(spec) == probe_canonical_frames(spec)
+    def test_frame_divergence_is_loud(self, monkeypatch):
+        """Nodes 2 and 3 allocate one extra frame before their setup, so
+        their receive frames differ from nodes 0 and 1.  One shard
+        catches it inside the shard, four shards across shards, and the
+        worker engine across the frames its two workers report."""
 
-    def test_frame_divergence_is_loud(self):
+        def diverging_setup(spec, costs, node_id, machine, nic):
+            if node_id >= 2:
+                machine.kernel.frames.alloc()
+            return setup_node(spec, costs, node_id, machine, nic)
+
+        monkeypatch.setattr(shard_module, "setup_node", diverging_setup)
         spec = small_spec(num_nodes=4, topology="linear")
-        with pytest.raises(ConfigurationError, match="canonical"):
-            Shard(
-                spec,
-                ShardSpec(
-                    index=0, num_shards=1, nodes=(0, 1, 2, 3),
-                    rx_frames=(999,),
-                ),
-            )
+        for engine, num_shards in (("in-process", 1), ("in-process", 4), ("worker", 2)):
+            with pytest.raises(ConfigurationError, match="node 2 .*canonical"):
+                run_sharded(spec, num_shards=num_shards, engine=engine)
 
     def test_unfed_cross_shard_link_blocks_execution(self):
         """A node whose only in-link is remote and unfed must not
         execute anything -- the bound defaults to zero, not infinity."""
         spec = small_spec(num_nodes=4, topology="linear")
-        frames = probe_canonical_frames(spec)
-        shard = Shard(
-            spec,
-            ShardSpec(index=2, num_shards=4, nodes=(2,), rx_frames=frames),
-        )
+        shard = Shard(spec, ShardSpec(index=2, num_shards=4, nodes=(2,)))
         assert shard.run_until_blocked() is False
         assert shard.ops_executed == 0
 
     def test_null_message_unblocks_up_to_the_bound(self):
         spec = small_spec(num_nodes=4, topology="linear")
-        frames = probe_canonical_frames(spec)
-        shard = Shard(
-            spec,
-            ShardSpec(index=2, num_shards=4, nodes=(2,), rx_frames=frames),
-        )
+        shard = Shard(spec, ShardSpec(index=2, num_shards=4, nodes=(2,)))
         shard.set_chan_bound(1, 2, 10**9)
         assert shard.run_until_blocked() is True
         assert shard.ops_executed > 0

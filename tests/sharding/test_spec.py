@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.params import shrimp
-from repro.sharding.spec import ClusterSpec, ShardSpec, partition
+from repro.sharding.spec import ClusterSpec, partition
 
 
 class TestClusterSpec:
@@ -24,6 +24,22 @@ class TestClusterSpec:
     def test_rejects_unaligned_messages(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec(msg_bytes=1023)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(channel_pages=0), "channel_pages"),
+            (dict(channel_pages=3, nipt_entries=2), "nipt_entries"),
+            (dict(nipt_entries=0), "nipt_entries"),
+        ],
+    )
+    def test_rejects_bad_channel_sizes_naming_the_field(self, overrides, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ClusterSpec(**overrides)
+
+    def test_accepts_a_channel_filling_the_nipt(self):
+        spec = ClusterSpec(channel_pages=4, nipt_entries=4)
+        assert spec.nipt_entries == spec.channel_pages
 
     def test_round_trips_through_dict(self):
         spec = ClusterSpec(num_nodes=16, seed=7, topology="torus2d")
@@ -83,8 +99,3 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             partition(4, 0)
 
-
-class TestShardSpec:
-    def test_carries_canonical_frames(self):
-        shard = ShardSpec(index=0, num_shards=2, nodes=(0, 1), rx_frames=(3,))
-        assert shard.rx_frames == (3,)
