@@ -31,6 +31,8 @@ across commits.
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -202,6 +204,11 @@ def bench_udma_send(
         lambda: _udma_send_setup(msg_bytes, obs),
         warm_start,
     )
+    return _udma_send_loop(ctx, messages, msg_bytes)
+
+
+def _udma_send_loop(ctx: _WarmContext, messages: int, msg_bytes: int) -> HostResult:
+    """Time ``messages`` sends on a built ``udma_send`` world."""
     machine = ctx.root
     udma = ctx.handles["udma"]
     buf = ctx.handles["buf"]
@@ -687,26 +694,112 @@ OBS_MODES: Dict[str, Optional[ObsConfig]] = {
 }
 
 
+#: every obs-overhead timed window lasts at least this long, even under
+#: ``--quick``: 8 ms windows swing by several percent between runs of one
+#: commit, more than the 2% the gate has to resolve
+OBS_WINDOW_SECONDS = 0.1
+
+#: fewest interleaved rounds the obs-overhead gate takes a median over
+OBS_MIN_ROUNDS = 7
+
+#: host time of one slice of a round; the modes take turns slice by
+#: slice, so host-speed drift slower than this hits them all alike
+OBS_SLICE_SECONDS = 0.002
+
+
+@dataclass
+class ObsOverhead:
+    """Interleaved obs-overhead runs: ``runs[mode][i]`` is round ``i``."""
+
+    runs: Dict[str, List[HostResult]]
+
+    def ratios(self, mode: str) -> List[float]:
+        """Per-round host MB/s of ``mode`` over the same round's baseline."""
+        return [
+            r.mb_per_s / b.mb_per_s
+            for b, r in zip(self.runs["baseline"], self.runs[mode])
+        ]
+
+    def median_ratio(self, mode: str) -> float:
+        return statistics.median(self.ratios(mode))
+
+    def as_dict(self) -> dict:
+        return {
+            "rounds": len(self.runs["baseline"]),
+            "median_ratio": {
+                mode: round(self.median_ratio(mode), 4)
+                for mode in self.runs if mode != "baseline"
+            },
+            "runs": {
+                mode: [r.as_dict() for r in results]
+                for mode, results in self.runs.items()
+            },
+        }
+
+
 def run_obs_overhead(
-    quick: bool = False, repeats: int = 5
-) -> Dict[str, HostResult]:
+    quick: bool = False, repeats: int = OBS_MIN_ROUNDS
+) -> ObsOverhead:
     """A/B the observability plane's host cost on the ``udma_send`` path.
 
-    Runs the same workload under every :data:`OBS_MODES` configuration,
-    interleaving the modes within each repeat so host-scheduler drift
-    hits all modes equally, and keeps the fastest run per mode.  The
+    Runs ``max(repeats, OBS_MIN_ROUNDS)`` rounds, each on freshly built
+    machines.  In a round, ``baseline`` and ``metrics`` -- the gated pair
+    -- take turns in slices of about :data:`OBS_SLICE_SECONDS` (sized by
+    a calibration run), in an order that flips every slice, until each
+    one's summed timed window reaches :data:`OBS_WINDOW_SECONDS`; so
+    host-speed drift and run-order effects hit both alike, and the gate
+    judges the median of the per-round metrics/baseline ratios.  Every
+    other mode (``spans``) then runs the same message count in one
+    window, after the pair, so its garbage never lands in theirs.  The
     metrics registry samples live counters only at snapshot time and the
     span tracker is never constructed when disabled, so ``metrics`` is
     expected to land within noise of ``baseline`` (CI gates it at 2%).
     """
-    kwargs = dict(SCENARIOS["udma_send"].quick if quick else SCENARIOS["udma_send"].full)
-    best: Dict[str, HostResult] = {}
-    for _ in range(max(1, repeats)):
+    kwargs = SCENARIOS["udma_send"].quick if quick else SCENARIOS["udma_send"].full
+    msg_bytes = 4096
+    probe = bench_udma_send(obs=OBS_MODES["baseline"], **kwargs)
+    slice_messages = max(
+        1, round(OBS_SLICE_SECONDS * probe.messages / probe.host_seconds)
+    )
+    pair = ("baseline", "metrics")
+    runs: Dict[str, List[HostResult]] = {mode: [] for mode in OBS_MODES}
+    for _ in range(max(repeats, OBS_MIN_ROUNDS)):
+        gc.collect()
+        worlds = {
+            mode: _udma_send_setup(msg_bytes, OBS_MODES[mode]) for mode in pair
+        }
+        parts: Dict[str, List[HostResult]] = {mode: [] for mode in pair}
+        timed = dict.fromkeys(pair, 0.0)
+        while min(timed.values()) < OBS_WINDOW_SECONDS:
+            order = pair if len(parts["baseline"]) % 2 == 0 else reversed(pair)
+            for mode in order:
+                part = _udma_send_loop(worlds[mode], slice_messages, msg_bytes)
+                parts[mode].append(part)
+                timed[mode] += part.host_seconds
+        for mode in pair:
+            runs[mode].append(_merge(parts[mode]))
+        del worlds
+        messages = runs["baseline"][-1].messages
         for mode, config in OBS_MODES.items():
-            result = bench_udma_send(obs=config, **kwargs)
-            if mode not in best or result.host_seconds < best[mode].host_seconds:
-                best[mode] = result
-    return best
+            if mode not in pair:
+                runs[mode].append(
+                    bench_udma_send(messages=messages, msg_bytes=msg_bytes, obs=config)
+                )
+    return ObsOverhead(runs)
+
+
+def _merge(parts: List[HostResult]) -> HostResult:
+    """One HostResult for consecutive slices of one scenario."""
+    return HostResult(
+        scenario=parts[0].scenario,
+        sim_bytes=sum(p.sim_bytes for p in parts),
+        sim_cycles=sum(p.sim_cycles for p in parts),
+        messages=sum(p.messages for p in parts),
+        host_seconds=sum(p.host_seconds for p in parts),
+        events_fired=sum(p.events_fired for p in parts),
+        xlat_hits=sum(p.xlat_hits for p in parts),
+        xlat_misses=sum(p.xlat_misses for p in parts),
+    )
 
 
 # ------------------------------------------------- reliability overhead
@@ -785,16 +878,24 @@ def transfer_latency_profile(
     return machine.metrics()["udma"]["transfer_cycles"]
 
 
-def format_obs_overhead(results: Dict[str, HostResult]) -> str:
-    base = results.get("baseline")
-    lines = [f"{'obs mode':<10} {'MB/s (host)':>12} {'host s':>8} {'vs baseline':>12}"]
-    for mode, r in results.items():
-        if base is not None and base.mb_per_s and mode != "baseline":
-            delta = f"{100.0 * (r.mb_per_s / base.mb_per_s - 1.0):>+11.1f}%"
+def format_obs_overhead(result: ObsOverhead) -> str:
+    rounds = len(result.runs["baseline"])
+    lines = [
+        f"{'obs mode':<10} {'MB/s (host)':>12} {'window s':>9} "
+        f"{'vs baseline':>12} {'ratio range':>16}   (medians of {rounds} "
+        f"interleaved rounds)"
+    ]
+    for mode, runs in result.runs.items():
+        mb_per_s = statistics.median(r.mb_per_s for r in runs)
+        window = statistics.median(r.host_seconds for r in runs)
+        if mode == "baseline":
+            delta, spread = f"{'-':>12}", f"{'-':>16}"
         else:
-            delta = f"{'-':>12}"
+            ratios = result.ratios(mode)
+            delta = f"{100.0 * (result.median_ratio(mode) - 1.0):>+11.1f}%"
+            spread = f"{min(ratios):>7.3f}..{max(ratios):<7.3f}"
         lines.append(
-            f"{mode:<10} {r.mb_per_s:>12.2f} {r.host_seconds:>8.3f} {delta}"
+            f"{mode:<10} {mb_per_s:>12.2f} {window:>9.3f} {delta} {spread:>16}"
         )
     return "\n".join(lines)
 

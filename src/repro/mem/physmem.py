@@ -1,6 +1,6 @@
 """Byte-addressable physical memory.
 
-A :class:`PhysicalMemory` is a flat ``bytearray`` of frames.  All data that
+A :class:`PhysicalMemory` is a flat buffer of frames.  All data that
 "really exists" in a simulated node lives here; DMA engines, the CPU (via
 the MMU) and the receive side of the NIC all read and write through this
 object, so tests can verify end-to-end data movement byte for byte.
@@ -11,9 +11,17 @@ through one long-lived view of the backing buffer, so a ``read`` costs one
 copy and a ``write`` from any buffer-protocol object (bytes, bytearray,
 another node's view) costs exactly one copy into RAM.  See
 ``docs/PERFORMANCE.md`` for the ownership rules a view borrower must obey.
+
+The buffer is anonymous ``mmap`` memory whose pages the host zero-fills on
+first touch, so building a node costs no zero-filling and untouched frames
+cost no resident memory.  It is mapped ``MAP_PRIVATE``: with ``fileno=-1``
+Python defaults to ``MAP_SHARED``, and a forked worker process would then
+write into its parent's RAM.
 """
 
 from __future__ import annotations
+
+import mmap
 
 from repro.errors import AddressError
 from repro.params import DEFAULT_PAGE_SIZE, WORD_SIZE
@@ -38,10 +46,7 @@ class PhysicalMemory(SnapshotMixin):
             )
         self.size = size
         self.page_size = page_size
-        self._data = bytearray(size)
-        # One long-lived writable view; slicing it is allocation-light and
-        # never copies the underlying RAM.
-        self._mv = memoryview(self._data)
+        self._map()
 
     @property
     def num_frames(self) -> int:
@@ -50,14 +55,30 @@ class PhysicalMemory(SnapshotMixin):
 
     # -------------------------------------------------------- snapshotting
     def __getstate__(self) -> dict:
-        # memoryviews do not pickle; the long-lived view is rebuilt over
-        # the restored bytearray.
+        # Neither mmaps nor memoryviews pickle: RAM travels as a
+        # bytearray and is mapped afresh on restore.
         state = self.__dict__.copy()
         del state["_mv"]
+        state["_data"] = bytearray(self._data)
         return state
 
     def __setstate__(self, state: dict) -> None:
+        data = state.pop("_data")
         self.__dict__.update(state)
+        self._map()
+        # Copy back only the non-zero pages, so a restored or forked
+        # machine stays as small as the one it was taken from.
+        page = self.page_size
+        zero = bytes(page)
+        src = memoryview(data)
+        for base in range(0, self.size, page):
+            if not data.startswith(zero, base):
+                self._mv[base : base + page] = src[base : base + page]
+
+    def _map(self) -> None:
+        self._data = mmap.mmap(-1, self.size, flags=mmap.MAP_PRIVATE)
+        # One long-lived writable view; slicing it is allocation-light and
+        # never copies the underlying RAM.
         self._mv = memoryview(self._data)
 
     # -------------------------------------------------------- zero-copy I/O

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import Counter as _Tally
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -149,12 +150,21 @@ class Gauge(_SampledStateMixin, Metric):
 DEFAULT_BUCKETS = tuple(1 << k for k in range(4, 25))
 
 
+#: a histogram folds its queued samples into the buckets once this many
+#: are pending (and whenever it is read), bounding the queue's memory
+HISTOGRAM_FOLD_EVERY = 4096
+
+
 class Histogram(Metric):
     """A recording distribution over fixed bucket upper bounds.
 
     Unlike counters and gauges, a histogram must see every sample when it
     happens; call sites therefore hold a direct reference and guard with
     ``if hist is not None`` so the unobserved cost is one attribute load.
+    Recording a sample is one list append: samples queue up and fold into
+    the bucket counts, sum, min and max every
+    :data:`HISTOGRAM_FOLD_EVERY` samples and on every read, so the
+    per-sample cost on a hot path stays near a bare call.
     """
 
     kind = "histogram"
@@ -171,21 +181,61 @@ class Histogram(Metric):
                 f"histogram {self.name!r} needs ascending bucket bounds"
             )
         self.buckets = tuple(buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # +1: overflow bucket
-        self.count = 0
-        self.sum = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+        self._counts = [0] * (len(self.buckets) + 1)  # +1: overflow bucket
+        self._count = 0
+        self._sum = 0
+        self._min: Optional[int] = None
+        self._max: Optional[int] = None
+        self._pending: List[int] = []
 
     def observe(self, value: int) -> None:
         """Record one sample."""
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= HISTOGRAM_FOLD_EVERY:
+            self._fold()
+
+    def _fold(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        counts, buckets = self._counts, self.buckets
+        for value, n in _Tally(pending).items():
+            counts[bisect_left(buckets, value)] += n
+            self._sum += value * n
+        low, high = min(pending), max(pending)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+        self._count += len(pending)
+        pending.clear()
+
+    @property
+    def counts(self) -> List[int]:
+        """Samples per bucket; the last entry is the overflow bucket."""
+        self._fold()
+        return self._counts
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def sum(self) -> int:
+        self._fold()
+        return self._sum
+
+    @property
+    def min(self) -> Optional[int]:
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> Optional[int]:
+        self._fold()
+        return self._max
 
     def percentile(self, q: float) -> int:
         """Upper bucket bound holding the ``q``-quantile (0 < q <= 1)."""

@@ -10,11 +10,15 @@ Time is kept in integer cycles.  Fractional byte/cycle rates are rounded up
 when converted to durations, which models the bus clocking the last partial
 burst.
 
-The queue is allocation- and scan-free on the hot path: a live-event
-counter makes :meth:`Clock.pending` O(1), cancellation drops the callback
-reference immediately (so closed-over buffers are reclaimable before the
-tombstone is popped), and the heap compacts itself when tombstones
-outnumber live events.
+The queue holds ``(time, key, seq, event)`` tuples, ``key`` being ``()``
+for every plain event and an arrival key on the sharded kernel's
+:class:`ShardClock`.  Heap order is therefore a C tuple compare with no
+Python ``__lt__`` call; ``seq`` is unique, so a compare never reaches the
+:class:`Event` handle.  The queue is scan-free on the hot path: a
+live-event counter makes :meth:`Clock.pending` O(1), cancellation drops
+the callback reference immediately (so closed-over buffers are
+reclaimable before the tombstone is popped), and the heap compacts itself
+when tombstones outnumber live events.
 
 Two further fast-lane mechanisms (on by default, disabled together with
 ``pooling=False`` for the chaos differential oracle):
@@ -30,7 +34,7 @@ Two further fast-lane mechanisms (on by default, disabled together with
 * **Same-time FIFO bucket** -- a burst of events scheduled for one due
   time (the common shape on the per-message path) lands in a deque instead
   of the heap.  Firing compares the bucket head against the heap head with
-  the ordinary event ordering, so the global ``(time[, key], seq)`` fire
+  the ordinary entry ordering, so the global ``(time, key, seq)`` fire
   order is bit-identical to the heap-only queue: bucket entries all share
   one due time and the empty key, and are appended in sequence order, so
   the deque is sorted by construction.
@@ -62,23 +66,19 @@ COMPACT_SLACK = 64
 EVENT_FREE_LIST_CAP = 4096
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Event:
-    """A scheduled callback.  Ordered by (time, sequence number)."""
+    """A handle on one scheduled callback.
 
-    time: int
-    seq: int
-    callback: Optional[Callable[[], None]] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _clock: Optional["Clock"] = field(default=None, compare=False, repr=False)
+    Ordering lives in the queue entry, not here: the clock queues
+    ``(time, key, seq, event)`` tuples, so heap sifts are C tuple
+    compares.  ``seq`` is unique per clock, so a compare never reaches
+    the event itself.
+    """
 
-    def __lt__(self, other: "Event") -> bool:
-        # Hand-written instead of dataclass(order=True): the heap sift
-        # calls this on every push/pop, and the generated version builds
-        # two tuples per comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+    callback: Optional[Callable[[], None]]
+    cancelled: bool = False
+    _clock: Optional["Clock"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -97,26 +97,10 @@ class Event:
             self._clock._on_cancel()
 
 
-@dataclass(slots=True)
-class KeyedEvent(Event):
-    """An event with a canonical ordering key: (time, key, seq).
-
-    The sharded kernel uses the ``key`` to make per-node execution order a
-    pure function of the workload rather than of scheduling interleaving:
-    local hardware events carry the empty key ``()`` (sorting first at a
-    given cycle), network arrivals carry ``(1, src_node, channel_seq)`` so
-    same-cycle arrivals land in a source/sequence order that is identical
-    no matter which shard — or which worker process — delivered them.
-    """
-
-    key: Tuple = ()
-
-    def __lt__(self, other: "KeyedEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.key != other.key:
-            return self.key < other.key
-        return self.seq < other.seq
+#: a queue entry: ``(time, key, seq, event)``; plain events carry the key
+#: ``()``, which sorts before any ``(1, src_node, channel_seq)`` arrival
+#: key at the same cycle
+Entry = Tuple[int, Tuple, int, Event]
 
 
 class Clock(SnapshotMixin):
@@ -134,16 +118,11 @@ class Clock(SnapshotMixin):
     foreign acquires.
     """
 
-    #: event class used by :meth:`schedule`; a class hook (rather than a
-    #: per-event branch) so the single-clock hot path pays nothing for the
-    #: sharded kernel's keyed ordering
-    _event_cls = Event
-    #: set on ShardClock: recycled events need their ``key`` reset
-    _keyed = False
-
     def __init__(self, pooling: bool = True, pool_debug: bool = False) -> None:
-        self._now = 0
-        self._queue: List[Event] = []
+        #: the current time in cycles; a plain attribute that only the
+        #: clock itself writes
+        self.now = 0
+        self._queue: List[Entry] = []
         self._seq = itertools.count()
         self._live = 0  # exact count of scheduled-but-unfired, uncancelled
         #: total events fired over the clock's lifetime (host-perf metric;
@@ -161,7 +140,7 @@ class Clock(SnapshotMixin):
         self._free_ids: Set[int] = set()  # pool_debug ownership ledger
         #: same-time FIFO bucket: every entry shares ``_bucket_time`` and
         #: the empty key, appended in seq order (sorted by construction)
-        self._bucket: Deque[Event] = deque()
+        self._bucket: Deque[Entry] = deque()
         self._bucket_time = 0
 
     # ---------------------------------------------------------- snapshotting
@@ -182,11 +161,6 @@ class Clock(SnapshotMixin):
         self._free_ids = {id(e) for e in self._free}
 
     # ------------------------------------------------------------- reading
-    @property
-    def now(self) -> int:
-        """The current time in cycles."""
-        return self._now
-
     def pending(self) -> int:
         """Number of live (uncancelled) events still queued.  O(1)."""
         return self._live
@@ -194,7 +168,7 @@ class Clock(SnapshotMixin):
     def next_event_time(self) -> Optional[int]:
         """Due time of the earliest live event, or None if the queue is idle."""
         head = self._peek()
-        return None if head is None else head.time
+        return None if head is None else head[0]
 
     # ---------------------------------------------------------- scheduling
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
@@ -205,39 +179,36 @@ class Clock(SnapshotMixin):
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event {delay} cycles in the past")
-        due = self._now + delay
+        due = self.now + delay
         free = self._free
         if free:
             event = free.pop()
             if self.pool_debug:
                 self._debug_acquire(event)
-            event.time = due
-            event.seq = next(self._seq)
             event.callback = callback
             event.cancelled = False
             event._clock = self
-            if self._keyed:
-                event.key = ()
             self.pool_reuses += 1
         else:
-            event = self._event_cls(due, next(self._seq), callback, False, self)
+            event = Event(callback, False, self)
+        entry = (due, (), next(self._seq), event)
         bucket = self._bucket
         if bucket:
             if due == self._bucket_time:
-                bucket.append(event)
+                bucket.append(entry)
             else:
-                heapq.heappush(self._queue, event)
+                heapq.heappush(self._queue, entry)
         elif self.pooling:
             self._bucket_time = due
-            bucket.append(event)
+            bucket.append(entry)
         else:
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, entry)
         self._live += 1
         return event
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
-        return self.schedule(time - self._now, callback)
+        return self.schedule(time - self.now, callback)
 
     # ------------------------------------------------------------- running
     def advance(self, cycles: int) -> None:
@@ -248,10 +219,10 @@ class Clock(SnapshotMixin):
         """
         if cycles < 0:
             raise ValueError(f"cannot advance time by {cycles} cycles")
-        target = self._now + cycles
+        target = self.now + cycles
         if self._live:
             self._fire_until(target)
-        self._now = target
+        self.now = target
 
     def run(self, until: Optional[int] = None) -> None:
         """Fire queued events until the queue drains (or ``until`` is hit).
@@ -259,15 +230,12 @@ class Clock(SnapshotMixin):
         Used when the CPU is idle (e.g. a process blocked on I/O) and the
         simulation should coast forward on device activity alone.
         """
-        limit = math.inf if until is None else until
-        while True:
-            head = self._peek()
-            if head is None or head.time > limit:
-                break
-            self._pop(head)
-            self._fire(head)
-        if until is not None and until > self._now:
-            self._now = until
+        if until is None:
+            self._fire_until(math.inf)
+        else:
+            self._fire_until(until)
+            if until > self.now:
+                self.now = until
 
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
         """Drain every queued event (events may schedule further events).
@@ -289,26 +257,27 @@ class Clock(SnapshotMixin):
                     limit=max_events,
                     fired=fired,
                     pending=self._live,
-                    now=self._now,
-                    next_event_time=head.time,
+                    now=self.now,
+                    next_event_time=head[0],
                 )
             self._pop(head)
             self._fire(head)
             fired += 1
 
     # ------------------------------------------------------------ internal
-    def _peek(self) -> Optional[Event]:
-        """Earliest live event across heap and bucket, without popping.
+    def _peek(self) -> Optional[Entry]:
+        """Earliest live entry across heap and bucket, without popping.
 
         Skims cancelled tombstones off both heads.  The winner is chosen
-        with the event ordering itself, so heap/bucket placement can never
-        perturb fire order.
+        with the entry ordering itself, so heap/bucket placement can never
+        perturb fire order: bucket entries carry the empty key, so a heap
+        head with a non-empty key at the same time sorts after them.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][3].cancelled:
             heapq.heappop(queue)
         bucket = self._bucket
-        while bucket and bucket[0].cancelled:
+        while bucket and bucket[0][3].cancelled:
             bucket.popleft()
         if bucket:
             head = bucket[0]
@@ -317,7 +286,7 @@ class Clock(SnapshotMixin):
             return head
         return queue[0] if queue else None
 
-    def _pop(self, head: Event) -> None:
+    def _pop(self, head: Entry) -> None:
         """Remove ``head`` (the current :meth:`_peek` result) from its home."""
         bucket = self._bucket
         if bucket and head is bucket[0]:
@@ -325,14 +294,15 @@ class Clock(SnapshotMixin):
         else:
             heapq.heappop(self._queue)
 
-    def _fire(self, event: Event) -> None:
-        """Fire one popped, live event (advancing time to its due cycle)."""
+    def _fire(self, entry: Entry) -> None:
+        """Fire one popped, live entry (advancing time to its due cycle)."""
+        event = entry[3]
         callback = event.callback
         event.callback = None  # mark fired; a later cancel() is a no-op
         self._live -= 1
         self.events_fired += 1
-        if event.time > self._now:
-            self._now = event.time
+        if entry[0] > self.now:
+            self.now = entry[0]
         assert callback is not None
         callback()
         hook = self.audit_hook
@@ -346,29 +316,38 @@ class Clock(SnapshotMixin):
                 event._clock = None
                 free.append(event)
 
-    def _fire_until(self, target: int) -> None:
+    def _fire_until(self, target: float) -> None:
+        """Fire every live entry due at or before ``target``, in order.
+
+        The fused :meth:`_peek` / :meth:`_pop` / :meth:`_fire` loop behind
+        :meth:`advance` and :meth:`run`.
+        """
         queue = self._queue
         bucket = self._bucket
         pop = heapq.heappop
         while True:
-            while queue and queue[0].cancelled:
+            while queue and queue[0][3].cancelled:
                 pop(queue)
-            while bucket and bucket[0].cancelled:
+            while bucket and bucket[0][3].cancelled:
                 bucket.popleft()
             if bucket:
                 head = bucket[0]
                 if queue and queue[0] < head:
                     head = queue[0]
+                    if head[0] > target:
+                        return
+                    pop(queue)
+                else:
+                    if head[0] > target:
+                        return
+                    bucket.popleft()
             elif queue:
                 head = queue[0]
-            else:
-                return
-            if head.time > target:
-                return
-            if bucket and head is bucket[0]:
-                bucket.popleft()
-            else:
+                if head[0] > target:
+                    return
                 pop(queue)
+            else:
+                return
             self._fire(head)
 
     def _debug_acquire(self, event: Event) -> None:
@@ -403,7 +382,7 @@ class Clock(SnapshotMixin):
         localised hot loops above -- stay valid if a callback's cancel
         triggers compaction mid-drain.
         """
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [e for e in self._queue if not e[3].cancelled]
         heapq.heapify(self._queue)
 
 
@@ -435,14 +414,11 @@ class ShardClock(Clock):
     holds here too.
     """
 
-    _event_cls = KeyedEvent
-    _keyed = True
-
     def advance(self, cycles: int) -> None:
         """Charge CPU cycles without firing events (engine fires them)."""
         if cycles < 0:
             raise ValueError(f"cannot advance time by {cycles} cycles")
-        self._now += cycles
+        self.now += cycles
 
     def run(self, until: Optional[int] = None) -> None:
         raise ConfigurationError(
@@ -460,7 +436,7 @@ class ShardClock(Clock):
     # -------------------------------------------------------- engine API
     def schedule_keyed(
         self, time: int, key: Tuple, callback: Callable[[], None]
-    ) -> KeyedEvent:
+    ) -> Event:
         """Schedule at absolute ``time`` with an explicit ordering key.
 
         Unlike :meth:`schedule_at` this permits ``time <= now``: a
@@ -473,16 +449,13 @@ class ShardClock(Clock):
             event = free.pop()
             if self.pool_debug:
                 self._debug_acquire(event)
-            event.time = time
-            event.seq = next(self._seq)
             event.callback = callback
             event.cancelled = False
             event._clock = self
-            event.key = key
             self.pool_reuses += 1
         else:
-            event = KeyedEvent(time, next(self._seq), callback, False, self, key)
-        heapq.heappush(self._queue, event)
+            event = Event(callback, False, self)
+        heapq.heappush(self._queue, (time, key, next(self._seq), event))
         self._live += 1
         return event
 
@@ -491,7 +464,7 @@ class ShardClock(Clock):
         head = self._peek()
         if head is None:
             return None
-        return (head.time, head.key)
+        return (head[0], head[1])
 
     def fire_next(self) -> int:
         """Pop and fire the earliest live event; returns its due time."""
@@ -499,9 +472,8 @@ class ShardClock(Clock):
         if head is None:
             raise ConfigurationError("fire_next() on an idle ShardClock")
         self._pop(head)
-        time = head.time
         self._fire(head)
-        return time
+        return head[0]
 
 
 def transfer_cycles(nbytes: int, bytes_per_cycle: float) -> int:

@@ -1,14 +1,18 @@
 """Event-driven traffic engine: millions of messages, one shared clock.
 
 Each *driver* is a (source node, tenant) pair with a message quota and a
-wake time.  The engine is a top-level pump loop over a wake-time heap:
-coast the clock to the earliest wake (``clock.run(until=...)`` fires any
-due network events), then perform exactly one non-blocking send
-(:meth:`Sender.try_send`) for that driver.  On success the driver draws
-its next destination from its seeded stream and re-arms ``gap_cycles``
-later; on a transient refusal (the node's UDMA engine is still draining
-the previous message) it retries the *same* destination after
-``retry_gap_cycles``.
+wake time.  The engine is a top-level pump loop over a wake-time heap of
+``(wake, seq, group)`` entries, a group being the drivers re-armed one
+after another for the same wake: coast the clock to the earliest wake
+once (``clock.run(until=...)`` fires any due network events), then step
+the group's drivers in order.  A step checks the destination's credit and
+then performs exactly one non-blocking send (:meth:`Sender.try_send`).
+On success the driver draws its next destination from its seeded stream
+and re-arms ``gap_cycles`` later; on a credit refusal or a transient
+refusal (the node's UDMA engine is still draining the previous message)
+it retries the *same* destination after ``retry_gap_cycles``.  Grouping
+replays a one-entry-per-driver heap's pop order exactly (see ``run``), so
+a refused retry costs a compare and an append, not a heap round trip.
 
 CPU work never happens inside a clock-event callback.  A send charges
 cycles (context switch, initiation stores), and a charge fires any due
@@ -160,23 +164,55 @@ class TrafficEngine:
             max_events = self.messages * 64 + 100_000
 
         host_start = time.perf_counter()
+        # Pump heap entries are (wake, seq, group): a group collects the
+        # drivers re-armed one after another for the same wake.  Their
+        # one-driver-per-entry seqs would have been consecutive, so no
+        # other entry could sort between them, and stepping a group's
+        # members in list order is the original pop order exactly.
         heap: List = []
         for i, d in enumerate(self._drivers):
             jitter = Xorshift(
                 _mix_seed(self.placement.pattern.seed, d.src, d.tenant) ^ 0x117E4
             )
             heapq.heappush(
-                heap, (clock.now + 1 + jitter.below(self.gap_cycles), i, d)
+                heap, (clock.now + 1 + jitter.below(self.gap_cycles), i, [d])
             )
         seq = len(self._drivers)
+        last_wake = -1
+        last_group: List[_Driver] = []
+        incoming = self._incoming
+        retry_gap = self.retry_gap_cycles
+        step = self._step
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         while heap:
-            wake, _, d = heapq.heappop(heap)
+            wake, _, group = heappop(heap)
             if wake > clock.now:
                 clock.run(until=wake)
-            rearm = self._step(d)
-            if rearm:
-                heapq.heappush(heap, (clock.now + rearm, seq, d))
-                seq += 1
+            for d in group:
+                # Credit-style flow control: while the destination's
+                # incoming FIFO is more than half full (incast fan-in
+                # outrunning receive-side DMA), hold the message and
+                # retry -- a deterministic stand-in for the
+                # return-channel backpressure real deliberate-update
+                # systems apply, and the reason a million-message incast
+                # cannot overflow the sink regardless of gap settings.
+                fifo = incoming[d.next_dst]
+                if fifo.used_bytes * 2 > fifo.capacity_bytes:
+                    d.retries += 1
+                    rearm = retry_gap
+                else:
+                    rearm = step(d)
+                    if not rearm:
+                        continue
+                wake = clock.now + rearm
+                if wake == last_wake:
+                    last_group.append(d)
+                else:
+                    last_wake = wake
+                    last_group = [d]
+                    heappush(heap, (wake, seq, last_group))
+                    seq += 1
         cluster.run_until_idle(max_events=max_events)
         host_seconds = time.perf_counter() - host_start
 
@@ -218,18 +254,11 @@ class TrafficEngine:
         )
 
     def _step(self, d: _Driver) -> int:
-        """One send attempt; returns the re-arm delay (0 = quota reached)."""
-        # Credit-style flow control: when the destination's incoming FIFO
-        # is more than half full (incast fan-in outrunning receive-side
-        # DMA), hold the message and retry -- a deterministic stand-in for
-        # the return-channel backpressure real deliberate-update systems
-        # apply, and the reason a million-message incast cannot overflow
-        # the sink regardless of gap settings.
+        """One send attempt; returns the re-arm delay (0 = quota reached).
+
+        The pump calls it only once the destination has credit.
+        """
         dst = d.next_dst
-        incoming = self._incoming[dst]
-        if incoming.used_bytes * 2 > incoming.capacity_bytes:
-            d.retries += 1
-            return self.retry_gap_cycles
         sender = d.senders.get(dst)
         if sender is None:
             sender = self.placement.sender(d.src, d.tenant, dst)

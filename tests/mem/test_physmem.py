@@ -1,9 +1,13 @@
 """Tests for physical memory."""
 
+import os
+
 import pytest
 
+from repro import Machine, MachineConfig
 from repro.errors import AddressError
 from repro.mem.physmem import PhysicalMemory
+from repro.snapshot import fork, restore, snapshot
 
 
 @pytest.fixture
@@ -96,3 +100,46 @@ class TestFrameIO:
         ram.write_frame(1, b"\xff" * 4096)
         ram.zero_frame(1)
         assert ram.read_frame(1) == bytes(4096)
+
+
+class TestLazilyZeroedBacking:
+    """RAM is anonymous MAP_PRIVATE memory, zero-filled on first touch."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_private(self, ram):
+        ram.write(100, b"parent")
+        before = ram.read(0, ram.size)
+        pid = os.fork()
+        if pid == 0:  # child: write everywhere, report whether it stuck
+            code = 1
+            try:
+                ram.write(100, b"child!")
+                ram.write_frame(7, b"\xee" * 4096)
+                code = 0 if ram.read(100, 6) == b"child!" else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert ram.read(0, ram.size) == before
+        assert ram.read(100, 6) == b"parent"
+
+    def test_snapshot_and_fork_keep_every_frame(self):
+        machine = Machine(config=MachineConfig(mem_size=1 << 18))
+        physmem = machine.physmem
+        for frame, fill in ((0, 0x11), (5, 0x5A), (physmem.num_frames - 1, 0xFF)):
+            physmem.write_frame(frame, bytes([fill]) * physmem.page_size)
+        physmem.write(9 * physmem.page_size + 17, b"partial page")
+        for copy in (restore(snapshot(machine)), fork(machine)):
+            twin = copy.physmem
+            assert twin.num_frames == physmem.num_frames
+            for frame in range(physmem.num_frames):
+                assert twin.read_frame(frame) == physmem.read_frame(frame), frame
+            twin.write(0, b"twin")  # copies share no RAM with the original
+            assert physmem.read(0, 4) == b"\x11" * 4
+
+    def test_pickled_state_is_a_bytearray(self, ram):
+        ram.write(4096, b"abc")
+        state = ram.__getstate__()
+        assert isinstance(state["_data"], bytearray)
+        assert state["_data"][4096:4099] == b"abc"
+        assert "_mv" not in state

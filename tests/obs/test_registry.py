@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.registry import DEFAULT_BUCKETS, unflatten
+from repro.obs.registry import DEFAULT_BUCKETS, HISTOGRAM_FOLD_EVERY, unflatten
 
 
 class TestNames:
@@ -84,6 +84,25 @@ class TestHistogram:
         h.observe(5000)
         assert h.count == 1
         assert h.percentile(0.5) == 5000  # falls through to max
+
+    def test_queued_samples_fold_into_exact_totals(self):
+        """Samples queue and fold in batches (every HISTOGRAM_FOLD_EVERY
+        and on read); the totals must match recording one by one."""
+        h = Histogram("lat", buckets=(10, 100, 1000))
+        samples = [(i * 7919) % 5000 for i in range(3 * HISTOGRAM_FOLD_EVERY + 5)]
+        for i, v in enumerate(samples):
+            h.observe(v)
+            if i == 17:
+                assert h.count == 18  # a read mid-stream folds early
+        assert h.count == len(samples)
+        assert h.sum == sum(samples)
+        assert (h.min, h.max) == (min(samples), max(samples))
+        assert h.counts == [
+            sum(1 for v in samples if v <= 10),
+            sum(1 for v in samples if 10 < v <= 100),
+            sum(1 for v in samples if 100 < v <= 1000),
+            sum(1 for v in samples if v > 1000),
+        ]
 
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationLimitError
-from repro.sim.clock import Clock, KeyedEvent, ShardClock, transfer_cycles
+from repro.sim.clock import Clock, ShardClock, transfer_cycles
 
 
 class TestAdvance:
@@ -264,11 +264,18 @@ class TestEventHousekeeping:
 
 class TestKeyedOrdering:
     def test_keyed_events_sort_time_key_seq(self):
-        a = KeyedEvent(10, 5, None, key=())
-        b = KeyedEvent(10, 1, None, key=(1, 0, 0))
-        c = KeyedEvent(10, 0, None, key=(1, 2, 0))
-        d = KeyedEvent(9, 9, None, key=(1, 9, 9))
-        assert d < a < b < c  # time first, then key, then seq
+        clock = ShardClock()
+        order = []
+        # Scheduled in reverse of the expected order, so seq alone would
+        # fire them backwards: time first, then key, then seq.
+        clock.schedule_keyed(10, (1, 2, 0), lambda: order.append("c"))
+        clock.schedule_keyed(10, (1, 0, 0), lambda: order.append("b"))
+        clock.schedule_keyed(10, (), lambda: order.append("a1"))
+        clock.schedule_keyed(10, (), lambda: order.append("a2"))
+        clock.schedule_keyed(9, (1, 9, 9), lambda: order.append("d"))
+        while clock.next_op():
+            clock.fire_next()
+        assert order == ["d", "a1", "a2", "b", "c"]
 
     def test_local_events_precede_same_cycle_arrivals(self):
         clock = ShardClock()
@@ -290,6 +297,73 @@ class TestKeyedOrdering:
         while clock.next_op():
             clock.fire_next()
         assert order == ["n1#0", "n1#1", "n3#0"]
+
+
+@pytest.mark.parametrize("pooling", [True, False])
+class TestSameCycleQueueOrder:
+    """Fire order at one cycle across every place an entry can live:
+    the same-time bucket, plain heap entries, ``()``-keyed and
+    ``(1, src, seq)``-keyed arrivals -- with tombstones and a forced
+    compaction in the way."""
+
+    def test_shard_clock_orders_bucket_heap_and_keyed_entries(self, pooling):
+        clock = ShardClock(pooling=pooling)
+        order = []
+
+        def note(label):
+            return lambda: order.append(label)
+
+        clock.schedule(5, note("early"))  # bucket (time 5) when pooling
+        clock.schedule(20, note("heap-1"))  # plain heap entry at 20
+        doomed_heap = clock.schedule(20, note("doomed-heap"))
+        clock.schedule_keyed(20, (), note("empty-key"))
+        clock.schedule_keyed(20, (1, 3, 0), note("arrival-3"))
+        doomed_arrival = clock.schedule_keyed(20, (1, 2, 0), note("doomed-arrival"))
+        assert clock.fire_next() == 5  # drains the bucket; now == 5
+        clock.schedule(15, note("bucket-1"))  # bucket (time 20) when pooling
+        doomed_bucket = clock.schedule(15, note("doomed-bucket"))
+        clock.schedule(15, note("bucket-2"))
+        clock.schedule_keyed(20, (1, 1, 0), note("arrival-1"))
+        clock.schedule_keyed(20, (1, 1, 1), note("arrival-1b"))
+        for event in (doomed_heap, doomed_arrival, doomed_bucket):
+            event.cancel()
+        clock._compact()
+        assert all(not entry[3].cancelled for entry in clock._queue)
+        assert clock.next_op() == (20, ())
+        while clock.next_op():
+            assert clock.fire_next() == 20
+        assert order == [
+            "early", "heap-1", "empty-key", "bucket-1", "bucket-2",
+            "arrival-1", "arrival-1b", "arrival-3",
+        ]
+        assert clock.pending() == 0
+
+    def test_clock_interleaves_bucket_and_heap_at_one_cycle(self, pooling):
+        clock = Clock(pooling=pooling)
+        order = []
+        clock.schedule(5, lambda: order.append("early"))
+        clock.schedule(20, lambda: order.append("heap-1"))
+        doomed = clock.schedule(20, lambda: order.append("doomed-heap"))
+        clock.schedule(30, lambda: order.append("late"))
+        clock.run(until=5)
+        clock.schedule(15, lambda: order.append("bucket-1"))
+        clock.schedule(15, lambda: order.append("bucket-2"))
+        doomed.cancel()
+        clock._compact()
+        clock.advance(15)
+        assert order == ["early", "heap-1", "bucket-1", "bucket-2"]
+        assert clock.now == 20
+        clock.run()
+        assert order[-1] == "late"
+        assert clock.now == 30
+
+    def test_now_is_a_plain_attribute(self, pooling):
+        clock = Clock(pooling=pooling)
+        assert "now" in vars(clock)
+        assert not hasattr(type(clock), "now")
+        assert not hasattr(ShardClock, "now")
+        clock.advance(7)
+        assert vars(clock)["now"] == 7
 
 
 class TestShardClock:

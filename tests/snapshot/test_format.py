@@ -65,6 +65,16 @@ def test_version_mismatch_raises_typed_error():
     assert str(SNAPSHOT_VERSION) in str(err)
 
 
+def test_version_1_blob_is_refused():
+    # Version 2 changed the clock's persisted shape (tuple queue entries,
+    # a plain ``now`` attribute), so version-1 blobs cannot be restored.
+    blob = encode({"k": "v"}, version=1)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 1
+    assert excinfo.value.expected == 2
+
+
 def test_version_error_is_a_snapshot_and_repro_error():
     assert issubclass(SnapshotVersionError, SnapshotError)
     assert issubclass(SnapshotError, ReproError)
