@@ -446,7 +446,7 @@ mode matrix -- pick at most one mode; toggles compose as marked:
                             "(bit-identical logs, digests, counters)")
     chaos.add_argument("--no-pool", action="store_true",
                        help="pooling differential mode: run the same "
-                            "schedule with the free-list/pipelining fast "
+                            "schedule with the packet-pool/pipelining fast "
                             "lane off vs on (at --shards K, default 1) and "
                             "require bit-identical logs, digests, counters")
     chaos.add_argument("--engine", default="in-process",

@@ -236,7 +236,7 @@ class ShrimpCluster:
         self.config = config
         num_nodes = config.num_nodes
         self.costs = config.costs if config.costs is not None else shrimp()
-        #: fast-lane toggles: ``pooling`` recycles events/packets/buffers,
+        #: fast-lane toggles: ``pooling`` recycles packets and buffers,
         #: ``pipelining`` lets senders reuse cached initiation plans.  Both
         #: are exact -- simulated cycles and every curated counter are
         #: bit-identical on or off (chaos ``--no-pool`` gates this).
@@ -247,9 +247,7 @@ class ShrimpCluster:
         self.protection = (
             config.protection if config.protection is not None else "proxy"
         )
-        self.clock = Clock(
-            pooling=config.pooling, pool_debug=config.pool_debug
-        )
+        self.clock = Clock()
         # One shared observability plane: every node registers its metrics
         # under a node{i}. namespace and all spans land on one tracker, so
         # a transfer's causality survives crossing the backplane.

@@ -99,8 +99,6 @@ class MachineConfig:
     fast_paths: bool = True
     obs: object = None
     reliability: object = None
-    pooling: bool = True
-    pool_debug: bool = False
     protection: object = None
     #: the virtual-address RDMA tier: False (default, bit-identical to a
     #: pre-IOMMU machine), True for defaults, or an :class:`IommuConfig`.

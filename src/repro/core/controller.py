@@ -89,6 +89,9 @@ class UdmaController:
         # Device-window decode cache, invalidated when a device attaches
         # (attach_device is the only way the window list grows).
         self._window_cache: Dict[int, "tuple[UDMADevice, int]"] = {}
+        # Resolved transfer endpoints per proxy address, cleared with the
+        # window cache (endpoints are immutable, so launches share them).
+        self._endpoint_cache: Dict[int, Endpoint] = {}
         # Observability plane hookups (see repro.obs).  Both stay None
         # unless a Machine wires them, so the unobserved cost is one
         # attribute load per call site.
@@ -110,6 +113,7 @@ class UdmaController:
         window = self.layout.register_device(device.name, device.proxy_size)
         self._devices[device.name] = device
         self._window_cache.clear()
+        self._endpoint_cache.clear()
         device.attach(self.clock, self.tracer)
         self.backend.device_attached(device)
         return window
@@ -140,6 +144,7 @@ class UdmaController:
         self.backend = backend
         self._operand_cache.clear()
         self._window_cache.clear()
+        self._endpoint_cache.clear()
         self._inval_operand = None
         return backend
 
@@ -413,25 +418,30 @@ class UdmaController:
             self._span_phase = ""
 
     def _launch(self, directive: StartDirective) -> None:
-        source = self._endpoint(directive.source)
-        destination = self._endpoint(directive.destination)
-        duration = self.engine.transfer_duration(source, destination, directive.count)
         self._transfer_start_time = self.clock.now
-        self._transfer_duration = duration
         self._transfer_count = directive.count
-        self.engine.start(
-            source,
-            destination,
+        engine = self.engine
+        engine.start(
+            self._endpoint(directive.source),
+            self._endpoint(directive.destination),
             directive.count,
             self._transfer_done,
             span_id=self._span,
         )
+        self._transfer_duration = engine.duration
 
     def _endpoint(self, operand: ProxyOperand) -> Endpoint:
+        proxy_addr = operand.proxy_addr
+        endpoint = self._endpoint_cache.get(proxy_addr)
+        if endpoint is not None:
+            return endpoint
         if operand.space is SpaceKind.MEMORY:
-            return MemoryEndpoint(self.physmem, self.layout.unproxy(operand.proxy_addr))
-        device, offset = self._device_at(operand.proxy_addr)
-        return DeviceEndpoint(device, offset)
+            endpoint = MemoryEndpoint(self.physmem, self.layout.unproxy(proxy_addr))
+        else:
+            endpoint = DeviceEndpoint(*self._device_at(proxy_addr))
+        if len(self._endpoint_cache) < self._OPERAND_CACHE_CAPACITY:
+            self._endpoint_cache[proxy_addr] = endpoint
+        return endpoint
 
     def _device_at(self, proxy_addr: int) -> "tuple[UDMADevice, int]":
         hit = self._window_cache.get(proxy_addr)

@@ -398,21 +398,18 @@ class QueuedUdmaController(UdmaController):
         else:
             return
         self._in_flight = request
-        source = self._endpoint(request.source)
-        destination = self._endpoint(request.destination)
-        duration = self.engine.transfer_duration(source, destination, request.count)
         self._transfer_start_time = self.clock.now
-        self._transfer_duration = duration
         self._transfer_count = request.count
         if self._spans is not None and request.span is not None:
             self._spans.event(request.span, "launch")
         self.engine.start(
-            source,
-            destination,
+            self._endpoint(request.source),
+            self._endpoint(request.destination),
             request.count,
             self._head_done,
             span_id=request.span,
         )
+        self._transfer_duration = self.engine.duration
 
     def _head_done(self) -> None:
         finished = self._in_flight

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, List, Optional, Protocol, Union
+from typing import Callable, Dict, List, Optional, Protocol, Union
 
 from repro.errors import DmaError
 from repro.mem.physmem import PhysicalMemory
@@ -197,6 +197,12 @@ class DmaEngine:
         self.source: Optional[Endpoint] = None
         self.destination: Optional[Endpoint] = None
         self.count = 0
+        #: cycles the last started transfer keeps the engine busy
+        #: (:meth:`transfer_duration`, computed once per start)
+        self.duration = 0
+        # count -> start + data cycles: transfers use a handful of sizes,
+        # so the ceil-division is memoised like the NIC's fill memo.
+        self._base_cycles: Dict[int, int] = {}
         self.transfers_completed = 0
         self.bytes_transferred = 0
         #: bytes moved so far for the in-flight transfer (stepping mode
@@ -238,7 +244,9 @@ class DmaEngine:
         self.count = count
         if on_complete is not None:
             self._oneshot.append(on_complete)
-        duration = self.transfer_duration(source, destination, count)
+        duration = self.duration = self.transfer_duration(
+            source, destination, count
+        )
         if self._spans is not None and span_id is not None:
             self._parent_span = span_id
             self._dma_span = self._spans.begin(
@@ -268,12 +276,12 @@ class DmaEngine:
         self, source: Endpoint, destination: Endpoint, count: int
     ) -> int:
         """Cycles the engine will stay busy for this transfer."""
-        return (
-            self.costs.dma_start_cycles
-            + transfer_cycles(count, self.costs.dma_bytes_per_cycle)
-            + source.extra_cycles(count)
-            + destination.extra_cycles(count)
-        )
+        base = self._base_cycles.get(count)
+        if base is None:
+            base = self._base_cycles[count] = self.costs.dma_start_cycles + (
+                transfer_cycles(count, self.costs.dma_bytes_per_cycle)
+            )
+        return base + source.extra_cycles(count) + destination.extra_cycles(count)
 
     def abort(self) -> None:
         """Cancel an in-flight transfer.
@@ -395,34 +403,31 @@ class DmaEngine:
             )
         if self._spans is not None and self._dma_span is not None:
             self._spans.finish(self._dma_span, status="complete")
-        callbacks = self._oneshot + list(self._listeners)
+        oneshot = self._oneshot
+        # Snapshot the listeners: a callback may register another one.
+        listeners = tuple(self._listeners) if self._listeners else ()
         self._reset()
-        for callback in callbacks:
+        for callback in oneshot:
+            callback()
+        for callback in listeners:
             callback()
 
     # ------------------------------------------------------------ internal
     def _complete(self) -> None:
-        assert self.source is not None and self.destination is not None
+        source = self.source
+        assert source is not None and self.destination is not None
         # Analytic mode: one view-to-endpoint handoff, no staging buffer.
         # A memory source lends a view of its RAM; a device source
         # materialises bytes (device reads may have side effects).
-        viewer = getattr(self.source, "view", None)
+        viewer = getattr(source, "view", None)
         data: Buffer = (
-            viewer(self.count) if viewer is not None else self.source.read(self.count)
+            viewer(self.count) if viewer is not None else source.read(self.count)
         )
-        self._deliver(data)
-        self.transfers_completed += 1
-        self.bytes_transferred += self.count
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, self.name, "dma-complete", count=self.count
-            )
-        if self._spans is not None and self._dma_span is not None:
-            self._spans.finish(self._dma_span, status="complete")
-        callbacks = self._oneshot + list(self._listeners)
-        self._reset()
-        for callback in callbacks:
-            callback()
+        if self._spans is None:
+            self.destination.write(data)
+        else:
+            self._deliver(data)
+        self._finish()
 
     def _reset(self) -> None:
         self.busy = False

@@ -160,9 +160,9 @@ class InvariantViolation(ReproError):
 class PoolIntegrityError(ReproError):
     """An object pool's recycling discipline was violated.
 
-    Raised only in pool-debug mode (``pool_debug=True`` /
-    ``REPRO_POOL_DEBUG=1``): a double release, a release of a still-live
-    object, or an acquire of an object the pool does not own.  A correct
+    Raised only in pool-debug mode (``ClusterConfig(pool_debug=True)``):
+    a double release, a release of a still-live object, or an acquire of
+    an object the pool does not own.  A correct
     fast lane never triggers it; the chaos differential suite runs with
     the checks on to prove recycling never aliases two tenants.
     """

@@ -64,7 +64,7 @@ class Machine:
         config: a :class:`~repro.config.MachineConfig`; ``None`` builds
             the defaults.
         clock: share an existing clock (a cluster's); ``None`` builds a
-            private one configured from ``config.pooling``/``pool_debug``.
+            private one.
         tracer: share an existing tracer; ``None`` derives one from the
             observability plane / ``config.record_trace``.
         name: node name (namespaces metrics and trace sources).
@@ -88,13 +88,7 @@ class Machine:
         self.config = config
         self.costs = config.costs if config.costs is not None else shrimp()
         self.name = name
-        # ``pooling``/``pool_debug`` apply only when the machine owns its
-        # clock; a shared (cluster) clock arrives pre-configured.
-        self.clock = (
-            clock
-            if clock is not None
-            else Clock(pooling=config.pooling, pool_debug=config.pool_debug)
-        )
+        self.clock = clock if clock is not None else Clock()
         obs = config.obs
         if isinstance(obs, Observability):
             # Shared plane (a cluster's): namespace this node's metrics.

@@ -116,9 +116,10 @@ class PhysicalMemory(SnapshotMixin):
 
     def write(self, paddr: int, data: "bytes | bytearray | memoryview") -> None:
         """Write ``data`` (any buffer-protocol object) at ``paddr`` (one copy)."""
-        nbytes = len(data)
-        self._check_range(paddr, nbytes)
-        self._mv[paddr : paddr + nbytes] = data
+        end = paddr + len(data)
+        if paddr < 0 or end > self.size:
+            self._check_range(paddr, len(data))
+        self._mv[paddr:end] = data
 
     # ------------------------------------------------------------ word I/O
     def read_word(self, paddr: int) -> int:

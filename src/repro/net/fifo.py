@@ -36,10 +36,10 @@ class BoundedFifo(SnapshotMixin, Generic[T]):
 
     @staticmethod
     def _size(item: object) -> int:
-        size = getattr(item, "wire_bytes", None)
-        if size is None:
-            size = len(item)  # type: ignore[arg-type]
-        return int(size)
+        try:
+            return item.wire_bytes  # type: ignore[attr-defined]
+        except AttributeError:
+            return len(item)  # type: ignore[arg-type]
 
     def can_accept(self, item: T) -> bool:
         """True if pushing ``item`` would not overflow."""
@@ -47,7 +47,10 @@ class BoundedFifo(SnapshotMixin, Generic[T]):
 
     def push(self, item: T) -> None:
         """Append an item; raises :class:`NetworkError` on overflow."""
-        size = self._size(item)
+        try:
+            size = item.wire_bytes  # type: ignore[attr-defined]
+        except AttributeError:
+            size = len(item)  # type: ignore[arg-type]
         if self.used_bytes + size > self.capacity_bytes:
             self.overruns += 1
             raise NetworkError(

@@ -238,10 +238,11 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         (the fill has just completed "now").
         """
         assert self.clock is not None
+        now = self.clock.now
         if self.cut_through and fill_start is not None:
             begin = fill_start
         else:
-            begin = self.clock.now  # store-and-forward: wait for full fill
+            begin = now  # store-and-forward: wait for full fill
         wire_start = max(begin + self.costs.packet_header_cycles, self._wire_free_at)
         wire_bytes = packet.wire_bytes
         wire_duration = self._wire_cycles.get(wire_bytes)
@@ -250,13 +251,10 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 wire_bytes, self.costs.wire_bytes_per_cycle
             )
             self._wire_cycles[wire_bytes] = wire_duration
-        done = max(
-            wire_start + wire_duration,
-            self.clock.now + self.costs.wire_flush_cycles,
-        )
+        done = max(wire_start + wire_duration, now + self.costs.wire_flush_cycles)
         self._wire_free_at = done
         self.last_wire_done = done
-        self.clock.schedule_at(done, self._wire_complete)
+        self.clock.schedule(done - now, self._wire_complete)
 
     def _wire_complete(self) -> None:
         assert self.clock is not None and self.interconnect is not None
@@ -363,24 +361,25 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         """Queue one checked packet for the receive-side DMA."""
         assert self.clock is not None
         self.incoming.push(packet)
+        now = self.clock.now
         if self.cut_through:
             # The receive DMA streams cut-through behind the wire (it is
             # faster than the wire, so it is never the bottleneck); a packet
             # adds only the fixed unpack/check/flush tail after its last
             # byte arrives.
-            done = max(self.clock.now, self._rx_free_at) + self.costs.rx_check_cycles
+            done = max(now, self._rx_free_at) + self.costs.rx_check_cycles
         else:
             # Store-and-forward: the whole payload is re-clocked through
             # the receive DMA after arrival.
             done = (
-                max(self.clock.now, self._rx_free_at)
+                max(now, self._rx_free_at)
                 + self.costs.rx_check_cycles
                 + transfer_cycles(
                     len(packet.payload), self.costs.rx_dma_bytes_per_cycle
                 )
             )
         self._rx_free_at = done
-        self.clock.schedule_at(done, self._rx_dma_complete)
+        self.clock.schedule(done - now, self._rx_dma_complete)
 
     def _rx_dma_complete(self) -> None:
         assert self.clock is not None
@@ -399,7 +398,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 # packet object if spans/reliability/hooks need it back at
                 # replay); a pooled shell can go home now.
                 if packet._pooled and not self.on_receive:
-                    self._release_pooled(packet)
+                    self.interconnect.packet_pool.release(packet)
             else:  # abort: degrade to the classic refusal
                 self.rx_errors += 1
                 if self.tracer.enabled:
@@ -412,7 +411,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                         seq=packet.seq,
                     )
                 if packet._pooled and not self.on_receive:
-                    self._release_pooled(packet)
+                    self.interconnect.packet_pool.release(packet)
             return
         self._rx_deliver(packet, packet.dst_paddr)
 
@@ -447,17 +446,9 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         elif packet._pooled and not self.on_receive:
             # Delivered and nothing downstream retains it: recycle.  The
             # receiving backplane is the one that lent the packet (pools
-            # are per-backplane, per-shard), so the shell goes home.
-            self._release_pooled(packet)
-
-    def _release_pooled(self, packet: Packet) -> None:
-        pool = (
-            self.interconnect.packet_pool
-            if self.interconnect is not None
-            else None
-        )
-        if pool is not None:
-            pool.release(packet)
+            # are per-backplane, per-shard), so the shell goes home; a
+            # pooled packet only exists where its backplane has a pool.
+            self.interconnect.packet_pool.release(packet)
 
     # ----------------------------------------------- fault-and-resume hooks
     def complete_parked(self, parked: "ParkedTransfer", dst_paddr: int) -> None:

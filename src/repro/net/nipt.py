@@ -105,9 +105,14 @@ class NetworkInterfacePageTable(SnapshotMixin):
         return self._entries.get(index)
 
     def require(self, index: int) -> NiptEntry:
-        """Hardware-side lookup that treats an invalid entry as an error."""
-        entry = self.lookup(index)
+        """Hardware-side lookup that treats an invalid entry as an error.
+
+        Only in-range indices are ever installed, so a hit needs no
+        range check; a miss is checked before it is reported.
+        """
+        entry = self._entries.get(index)
         if entry is None:
+            self._check_index(index)
             raise NetworkError(f"NIPT entry {index} is invalid")
         return entry
 

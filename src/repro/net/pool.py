@@ -1,11 +1,9 @@
 """Free-list pooling for packets and payload buffers.
 
-The per-message hot path used to allocate one :class:`Packet`, one
-``bytes`` payload snapshot, and several :class:`~repro.sim.clock.Event`
-objects per message; at millions of messages per run the allocator and
-the garbage collector dominate host time.  The event free list lives in
-the clock itself (:mod:`repro.sim.clock`); this module pools the other
-two allocations.
+The per-message hot path used to allocate one :class:`Packet` and one
+``bytes`` payload snapshot per message; at millions of messages per run
+the allocator and the garbage collector dominate host time.  This module
+pools both allocations.
 
 A :class:`PacketPool` is owned by the backplane
 (:class:`~repro.net.interconnect.Interconnect`), one per backplane --

@@ -259,7 +259,7 @@ class Shard:
         self.rx_pages: Tuple = ()
         for node_id in self.order:
             machine, nic = build_node(
-                node_config, node_id, ShardClock(pooling=spec.pooling),
+                node_config, node_id, ShardClock(),
                 self.interconnect,
             )
             rt = setup_node(spec, self.costs, node_id, machine, nic)

@@ -52,7 +52,7 @@ class ClusterSpec:
         mem_size: per-node RAM.
         channel_pages: channel/buffer length in pages.
         nipt_entries: sender NIPT size (sized to the channel).
-        pooling: enable the event/packet free-list fast lane (exact: the
+        pooling: enable the packet free-list fast lane (exact: the
             simulation is bit-identical on or off, which the chaos
             ``--no-pool`` differential mode verifies).
         iommu: run every node with the virtual-address RDMA tier

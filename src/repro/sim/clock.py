@@ -10,34 +10,19 @@ Time is kept in integer cycles.  Fractional byte/cycle rates are rounded up
 when converted to durations, which models the bus clocking the last partial
 burst.
 
-The queue holds ``(time, key, seq, event)`` tuples, ``key`` being ``()``
-for every plain event and an arrival key on the sharded kernel's
-:class:`ShardClock`.  Heap order is therefore a C tuple compare with no
-Python ``__lt__`` call; ``seq`` is unique, so a compare never reaches the
-:class:`Event` handle.  The queue is scan-free on the hot path: a
-live-event counter makes :meth:`Clock.pending` O(1), cancellation drops
-the callback reference immediately (so closed-over buffers are
-reclaimable before the tombstone is popped), and the heap compacts itself
-when tombstones outnumber live events.
+The queue is one binary heap whose entries are the :class:`Event` handles
+themselves: each is a ``list`` ``[time, key, seq, callback, clock]``,
+``key`` being ``()`` for every plain event and an arrival key on the
+sharded kernel's :class:`ShardClock`.  Heap order is therefore a C list
+compare on ``(time, key, seq)`` with no Python ``__lt__`` call; ``seq`` is
+unique, so a compare never reaches the callback.  A handle is never
+reused, so a stale ``cancel()`` through a retained reference can only hit
+its own (fired or cancelled) event, where it is a no-op.
 
-Two further fast-lane mechanisms (on by default, disabled together with
-``pooling=False`` for the chaos differential oracle):
-
-* **Event free list** -- fired events are recycled instead of freed, so a
-  steady-state workload schedules without allocating.  Only *fired* events
-  are recycled; cancelled tombstones are dropped (a stale ``cancel()``
-  through a retained reference must never kill a pool successor).  The
-  contract for holders of an :class:`Event` reference is unchanged: once
-  the event has fired the reference is dead and ``cancel()`` must not be
-  called through it (the existing callers -- DMA completion, retransmit
-  timers -- already null or replace their references before that point).
-* **Same-time FIFO bucket** -- a burst of events scheduled for one due
-  time (the common shape on the per-message path) lands in a deque instead
-  of the heap.  Firing compares the bucket head against the heap head with
-  the ordinary entry ordering, so the global ``(time, key, seq)`` fire
-  order is bit-identical to the heap-only queue: bucket entries all share
-  one due time and the empty key, and are appended in sequence order, so
-  the deque is sorted by construction.
+The queue is scan-free on the hot path: a live-event counter makes
+:meth:`Clock.pending` O(1), cancellation clears the callback slot at once
+(so closed-over buffers are reclaimable before the tombstone is popped),
+and the heap compacts itself when tombstones outnumber live events.
 """
 
 from __future__ import annotations
@@ -45,40 +30,32 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import (
-    ConfigurationError,
-    PoolIntegrityError,
-    SimulationLimitError,
-)
+from repro.errors import ConfigurationError, SimulationLimitError
 from repro.snapshot.protocol import SnapshotMixin
 
 #: Compaction fires when ``len(queue) > 2 * live + COMPACT_SLACK``: the
 #: slack keeps tiny queues from compacting on every cancel.
 COMPACT_SLACK = 64
 
-#: Upper bound on the per-clock event free list.  Steady-state messaging
-#: needs a handful of in-flight events per channel; the cap only matters
-#: after a transient burst and bounds worst-case retained memory.
-EVENT_FREE_LIST_CAP = 4096
 
+class Event(list):
+    """One scheduled callback, and its own queue entry.
 
-@dataclass(slots=True, eq=False)
-class Event:
-    """A handle on one scheduled callback.
-
-    Ordering lives in the queue entry, not here: the clock queues
-    ``(time, key, seq, event)`` tuples, so heap sifts are C tuple
-    compares.  ``seq`` is unique per clock, so a compare never reaches
-    the event itself.
+    The handle is the list ``[time, key, seq, callback, clock]`` that the
+    clock's heap holds, so scheduling builds it without a Python-level
+    ``__init__`` and heap sifts are C list compares.  The callback slot
+    is cleared when the event fires or is cancelled; a cleared slot in
+    the queue is a tombstone.
     """
 
-    callback: Optional[Callable[[], None]]
-    cancelled: bool = False
-    _clock: Optional["Clock"] = field(default=None, repr=False)
+    __slots__ = ()
+
+    @property
+    def callback(self) -> Optional[Callable[[], None]]:
+        """The pending callback; None once fired or cancelled."""
+        return self[3]
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -89,18 +66,10 @@ class Event:
         does not pin its buffers until the due time passes.  Cancelling
         an already-fired or already-cancelled event is a no-op.
         """
-        if self.cancelled or self.callback is None:
+        if self[3] is None:
             return
-        self.cancelled = True
-        self.callback = None
-        if self._clock is not None:
-            self._clock._on_cancel()
-
-
-#: a queue entry: ``(time, key, seq, event)``; plain events carry the key
-#: ``()``, which sorts before any ``(1, src_node, channel_seq)`` arrival
-#: key at the same cycle
-Entry = Tuple[int, Tuple, int, Event]
+        self[3] = None
+        self[4]._on_cancel()
 
 
 class Clock(SnapshotMixin):
@@ -108,21 +77,13 @@ class Clock(SnapshotMixin):
 
     The clock never runs backwards.  Events scheduled for a time that has
     already passed fire on the next :meth:`advance` / :meth:`run` call.
-
-    ``pooling`` (default on) enables the event free list and the
-    same-time FIFO bucket; both are exact optimisations -- fire order,
-    fire times and every counter are bit-identical either way, which the
-    chaos differential oracle checks (``python -m repro chaos
-    --no-pool``).  ``pool_debug`` adds ownership checks that raise
-    :class:`~repro.errors.PoolIntegrityError` on double releases or
-    foreign acquires.
     """
 
-    def __init__(self, pooling: bool = True, pool_debug: bool = False) -> None:
+    def __init__(self) -> None:
         #: the current time in cycles; a plain attribute that only the
         #: clock itself writes
         self.now = 0
-        self._queue: List[Entry] = []
+        self._queue: List[Event] = []
         self._seq = itertools.count()
         self._live = 0  # exact count of scheduled-but-unfired, uncancelled
         #: total events fired over the clock's lifetime (host-perf metric;
@@ -132,16 +93,6 @@ class Clock(SnapshotMixin):
         #: chaos harness's continuous invariant auditor); None keeps the
         #: hot path a single attribute check
         self.audit_hook: Optional[Callable[[], None]] = None
-        self.pooling = pooling
-        self.pool_debug = pool_debug
-        #: events served from the free list (pool effectiveness metric)
-        self.pool_reuses = 0
-        self._free: List[Event] = []
-        self._free_ids: Set[int] = set()  # pool_debug ownership ledger
-        #: same-time FIFO bucket: every entry shares ``_bucket_time`` and
-        #: the empty key, appended in seq order (sorted by construction)
-        self._bucket: Deque[Entry] = deque()
-        self._bucket_time = 0
 
     # ---------------------------------------------------------- snapshotting
     def __getstate__(self) -> dict:
@@ -151,14 +102,15 @@ class Clock(SnapshotMixin):
         # auditor -- and its captured log -- into every snapshot.  It is
         # dropped here and re-installed by the owner after restore.
         state["audit_hook"] = None
-        # The pool-debug ownership ledger keys on id(); identities do not
-        # survive restore, so it is rebuilt from the free list instead.
-        state["_free_ids"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._free_ids = {id(e) for e in self._free}
+        # A state dict loaded into another clock (``load_state``) carries
+        # events bound to the clock it was copied from; rebind them, so a
+        # later cancel() settles this clock's live count.
+        for event in self._queue:
+            event[4] = self
 
     # ------------------------------------------------------------- reading
     def pending(self) -> int:
@@ -179,30 +131,8 @@ class Clock(SnapshotMixin):
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event {delay} cycles in the past")
-        due = self.now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            if self.pool_debug:
-                self._debug_acquire(event)
-            event.callback = callback
-            event.cancelled = False
-            event._clock = self
-            self.pool_reuses += 1
-        else:
-            event = Event(callback, False, self)
-        entry = (due, (), next(self._seq), event)
-        bucket = self._bucket
-        if bucket:
-            if due == self._bucket_time:
-                bucket.append(entry)
-            else:
-                heapq.heappush(self._queue, entry)
-        elif self.pooling:
-            self._bucket_time = due
-            bucket.append(entry)
-        else:
-            heapq.heappush(self._queue, entry)
+        event = Event((self.now + delay, (), next(self._seq), callback, self))
+        heapq.heappush(self._queue, event)
         self._live += 1
         return event
 
@@ -220,7 +150,7 @@ class Clock(SnapshotMixin):
         if cycles < 0:
             raise ValueError(f"cannot advance time by {cycles} cycles")
         target = self.now + cycles
-        if self._live:
+        if self._live and self._queue[0][0] <= target:
             self._fire_until(target)
         self.now = target
 
@@ -228,14 +158,17 @@ class Clock(SnapshotMixin):
         """Fire queued events until the queue drains (or ``until`` is hit).
 
         Used when the CPU is idle (e.g. a process blocked on I/O) and the
-        simulation should coast forward on device activity alone.
+        simulation should coast forward on device activity alone.  When
+        nothing is due by ``until``, time just moves there.
         """
         if until is None:
             self._fire_until(math.inf)
-        else:
+            return
+        queue = self._queue
+        if queue and queue[0][0] <= until:
             self._fire_until(until)
-            if until > self.now:
-                self.now = until
+        if until > self.now:
+            self.now = until
 
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
         """Drain every queued event (events may schedule further events).
@@ -247,128 +180,57 @@ class Clock(SnapshotMixin):
         :meth:`pending` / :meth:`next_event_time` remain consistent and
         the caller can inspect (or keep draining) the survivors.
         """
-        fired = 0
-        while True:
-            head = self._peek()
-            if head is None:
-                return
-            if fired >= max_events:
-                raise SimulationLimitError(
-                    limit=max_events,
-                    fired=fired,
-                    pending=self._live,
-                    now=self.now,
-                    next_event_time=head[0],
-                )
-            self._pop(head)
-            self._fire(head)
-            fired += 1
+        start = self.events_fired
+        self._fire_until(math.inf, max_events)
+        head = self._peek()
+        if head is not None:
+            raise SimulationLimitError(
+                limit=max_events,
+                fired=self.events_fired - start,
+                pending=self._live,
+                now=self.now,
+                next_event_time=head[0],
+            )
 
     # ------------------------------------------------------------ internal
-    def _peek(self) -> Optional[Entry]:
-        """Earliest live entry across heap and bucket, without popping.
-
-        Skims cancelled tombstones off both heads.  The winner is chosen
-        with the entry ordering itself, so heap/bucket placement can never
-        perturb fire order: bucket entries carry the empty key, so a heap
-        head with a non-empty key at the same time sorts after them.
-        """
+    def _peek(self) -> Optional[Event]:
+        """Earliest live entry, without popping it (skims tombstones)."""
         queue = self._queue
-        while queue and queue[0][3].cancelled:
+        while queue and queue[0][3] is None:
             heapq.heappop(queue)
-        bucket = self._bucket
-        while bucket and bucket[0][3].cancelled:
-            bucket.popleft()
-        if bucket:
-            head = bucket[0]
-            if queue and queue[0] < head:
-                return queue[0]
-            return head
         return queue[0] if queue else None
 
-    def _pop(self, head: Entry) -> None:
-        """Remove ``head`` (the current :meth:`_peek` result) from its home."""
-        bucket = self._bucket
-        if bucket and head is bucket[0]:
-            bucket.popleft()
-        else:
-            heapq.heappop(self._queue)
-
-    def _fire(self, entry: Entry) -> None:
-        """Fire one popped, live entry (advancing time to its due cycle)."""
-        event = entry[3]
-        callback = event.callback
-        event.callback = None  # mark fired; a later cancel() is a no-op
-        self._live -= 1
-        self.events_fired += 1
-        if entry[0] > self.now:
-            self.now = entry[0]
-        assert callback is not None
-        callback()
-        hook = self.audit_hook
-        if hook is not None:
-            hook()
-        if self.pooling:
-            free = self._free
-            if len(free) < EVENT_FREE_LIST_CAP:
-                if self.pool_debug:
-                    self._debug_release(event)
-                event._clock = None
-                free.append(event)
-
-    def _fire_until(self, target: float) -> None:
+    def _fire_until(self, target: float, limit: int = -1) -> None:
         """Fire every live entry due at or before ``target``, in order.
 
-        The fused :meth:`_peek` / :meth:`_pop` / :meth:`_fire` loop behind
-        :meth:`advance` and :meth:`run`.
+        The one firing loop behind :meth:`advance`, :meth:`run`,
+        :meth:`run_until_idle` and :meth:`ShardClock.fire_next`; it stops
+        early after ``limit`` events when ``limit`` is not negative.  A
+        fired entry's callback slot is cleared before the callback runs,
+        so a later ``cancel()`` through its handle is a no-op.
         """
         queue = self._queue
-        bucket = self._bucket
         pop = heapq.heappop
-        while True:
-            while queue and queue[0][3].cancelled:
-                pop(queue)
-            while bucket and bucket[0][3].cancelled:
-                bucket.popleft()
-            if bucket:
-                head = bucket[0]
-                if queue and queue[0] < head:
-                    head = queue[0]
-                    if head[0] > target:
-                        return
-                    pop(queue)
-                else:
-                    if head[0] > target:
-                        return
-                    bucket.popleft()
-            elif queue:
-                head = queue[0]
-                if head[0] > target:
-                    return
-                pop(queue)
-            else:
+        while queue and limit:
+            entry = queue[0]
+            callback = entry[3]
+            if callback is None:
+                pop(queue)  # tombstone
+                continue
+            time = entry[0]
+            if time > target:
                 return
-            self._fire(head)
-
-    def _debug_acquire(self, event: Event) -> None:
-        eid = id(event)
-        if eid not in self._free_ids:
-            raise PoolIntegrityError(
-                "acquired an event the pool does not own"
-            )
-        self._free_ids.discard(eid)
-        if event.callback is not None or event.cancelled:
-            raise PoolIntegrityError(
-                "pooled event was not reset (callback or cancelled flag set)"
-            )
-
-    def _debug_release(self, event: Event) -> None:
-        eid = id(event)
-        if eid in self._free_ids:
-            raise PoolIntegrityError("event double-released to pool")
-        if event.callback is not None:
-            raise PoolIntegrityError("live event released to pool")
-        self._free_ids.add(eid)
+            pop(queue)
+            entry[3] = None
+            limit -= 1
+            self._live -= 1
+            self.events_fired += 1
+            if time > self.now:
+                self.now = time
+            callback()
+            hook = self.audit_hook
+            if hook is not None:
+                hook()
 
     def _on_cancel(self) -> None:
         self._live -= 1
@@ -382,7 +244,7 @@ class Clock(SnapshotMixin):
         localised hot loops above -- stay valid if a callback's cancel
         triggers compaction mid-drain.
         """
-        self._queue[:] = [e for e in self._queue if not e[3].cancelled]
+        self._queue[:] = [e for e in self._queue if e[3] is not None]
         heapq.heapify(self._queue)
 
 
@@ -407,11 +269,6 @@ class ShardClock(Clock):
     ``run`` / ``run_until_idle`` raise: any component that coasts the
     clock itself would fire events outside engine control and silently
     break the determinism contract, so misuse fails loudly.
-
-    The same-time bucket only ever holds plain :meth:`schedule` events
-    (empty key); keyed arrivals always take the heap, so the bucket's
-    sorted-by-construction invariant (one time, one key, ascending seq)
-    holds here too.
     """
 
     def advance(self, cycles: int) -> None:
@@ -444,18 +301,8 @@ class ShardClock(Clock):
         clock has already charged past the wire arrival cycle; it still
         sorts (and fires) at its true arrival time.
         """
-        free = self._free
-        if free:
-            event = free.pop()
-            if self.pool_debug:
-                self._debug_acquire(event)
-            event.callback = callback
-            event.cancelled = False
-            event._clock = self
-            self.pool_reuses += 1
-        else:
-            event = Event(callback, False, self)
-        heapq.heappush(self._queue, (time, key, next(self._seq), event))
+        event = Event((time, key, next(self._seq), callback, self))
+        heapq.heappush(self._queue, event)
         self._live += 1
         return event
 
@@ -471,9 +318,9 @@ class ShardClock(Clock):
         head = self._peek()
         if head is None:
             raise ConfigurationError("fire_next() on an idle ShardClock")
-        self._pop(head)
-        self._fire(head)
-        return head[0]
+        time = head[0]
+        self._fire_until(time, 1)
+        return time
 
 
 def transfer_cycles(nbytes: int, bytes_per_cycle: float) -> int:

@@ -118,16 +118,18 @@ class Sender:
         to call from inside an event callback.
         """
         key = (nbytes, buffer_offset, channel_offset)
-        source, destination, padded = self._refs(
-            nbytes, buffer_offset, channel_offset
-        )
+        refs = self._ref_memo.get(key)
+        if refs is None:
+            refs = self._refs(nbytes, buffer_offset, channel_offset)
+        source, destination, padded = refs
         box = self._plan_memo.get(key)
         if box is None:
             box = [None]
             self._plan_memo[key] = box
         if box[0] is None:
             box[0] = self.udma.plan_for(source, destination, padded)
-        self._ensure_current()
+        if self.machine.kernel.current is not self.process:
+            self._ensure_current()
         return self.udma.send_once(
             source, destination, padded, stats=self._try_stats, plan=box[0]
         )

@@ -99,6 +99,21 @@ class TestStepping:
         assert ram.read(0x400, delivered) == b"\xcd" * delivered
         assert ram.read(0x400 + delivered, 32) == bytes(32)
 
+    def test_abort_after_a_fired_burst_spares_unrelated_events(self, rig):
+        """abort() cancels every burst handle, fired ones included; a
+        fired burst's handle must not reach an event scheduled later."""
+        clock, _, ram, engine, sink = rig
+        engine.start(MemoryEndpoint(ram, 0), DeviceEndpoint(sink, 0), 512)
+        clock.run(until=clock.next_event_time())  # the first burst fires
+        assert engine.progress_bytes == 64
+        fired = []
+        clock.schedule(10_000, lambda: fired.append(clock.now))
+        engine.abort()
+        assert clock.pending() == 1
+        clock.run_until_idle()
+        assert fired == [clock.now]
+        assert not engine.busy
+
     def test_source_mutation_mid_transfer_is_visible(self, rig):
         """Memory sources are read burst by burst, so concurrent writes
         to not-yet-transferred bytes are picked up (as on real hardware

@@ -219,6 +219,23 @@ class TestEventHousekeeping:
         e1.cancel()
         assert clock.pending() == 1
 
+    def test_stale_cancel_after_fire_leaves_later_events_alone(self):
+        """A handle kept past its event's firing stays bound to that
+        event: cancelling it touches no later event and no count."""
+        clock = Clock()
+        fired = []
+        stale = clock.schedule(5, lambda: fired.append("first"))
+        clock.run(until=5)
+        later = [clock.schedule(d, lambda d=d: fired.append(d))
+                 for d in (0, 10, 20)]
+        stale.cancel()
+        stale.cancel()
+        assert clock.pending() == 3
+        assert all(event.callback is not None for event in later)
+        clock.run_until_idle()
+        assert fired == ["first", 0, 10, 20]
+        assert clock.pending() == 0
+
     def test_events_fired_counts_only_fired_events(self):
         clock = Clock()
         clock.schedule(10, lambda: None)
@@ -299,68 +316,75 @@ class TestKeyedOrdering:
         assert order == ["n1#0", "n1#1", "n3#0"]
 
 
-@pytest.mark.parametrize("pooling", [True, False])
 class TestSameCycleQueueOrder:
-    """Fire order at one cycle across every place an entry can live:
-    the same-time bucket, plain heap entries, ``()``-keyed and
-    ``(1, src, seq)``-keyed arrivals -- with tombstones and a forced
-    compaction in the way."""
+    """Fire order at one cycle across plain entries scheduled in two
+    batches (before and after time moves), ``()``-keyed and
+    ``(1, src, seq)``-keyed arrivals -- with tombstones in the way,
+    either left for the firing loop to skim (``compact=False``) or
+    removed by a forced compaction (``compact=True``)."""
 
-    def test_shard_clock_orders_bucket_heap_and_keyed_entries(self, pooling):
-        clock = ShardClock(pooling=pooling)
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_shard_clock_orders_bucket_heap_and_keyed_entries(self, compact):
+        clock = ShardClock()
         order = []
 
         def note(label):
             return lambda: order.append(label)
 
-        clock.schedule(5, note("early"))  # bucket (time 5) when pooling
-        clock.schedule(20, note("heap-1"))  # plain heap entry at 20
+        clock.schedule(5, note("early"))
+        clock.schedule(20, note("heap-1"))  # plain entry at 20
         doomed_heap = clock.schedule(20, note("doomed-heap"))
         clock.schedule_keyed(20, (), note("empty-key"))
         clock.schedule_keyed(20, (1, 3, 0), note("arrival-3"))
         doomed_arrival = clock.schedule_keyed(20, (1, 2, 0), note("doomed-arrival"))
-        assert clock.fire_next() == 5  # drains the bucket; now == 5
-        clock.schedule(15, note("bucket-1"))  # bucket (time 20) when pooling
-        doomed_bucket = clock.schedule(15, note("doomed-bucket"))
-        clock.schedule(15, note("bucket-2"))
+        assert clock.fire_next() == 5  # now == 5
+        clock.schedule(15, note("later-1"))  # plain entries at 20 again
+        doomed_later = clock.schedule(15, note("doomed-later"))
+        clock.schedule(15, note("later-2"))
         clock.schedule_keyed(20, (1, 1, 0), note("arrival-1"))
         clock.schedule_keyed(20, (1, 1, 1), note("arrival-1b"))
-        for event in (doomed_heap, doomed_arrival, doomed_bucket):
+        for event in (doomed_heap, doomed_arrival, doomed_later):
             event.cancel()
-        clock._compact()
-        assert all(not entry[3].cancelled for entry in clock._queue)
+        assert clock.pending() == 7
+        if compact:
+            clock._compact()
+        assert clock.pending() == 7
         assert clock.next_op() == (20, ())
         while clock.next_op():
             assert clock.fire_next() == 20
         assert order == [
-            "early", "heap-1", "empty-key", "bucket-1", "bucket-2",
+            "early", "heap-1", "empty-key", "later-1", "later-2",
             "arrival-1", "arrival-1b", "arrival-3",
         ]
         assert clock.pending() == 0
 
-    def test_clock_interleaves_bucket_and_heap_at_one_cycle(self, pooling):
-        clock = Clock(pooling=pooling)
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_clock_interleaves_bucket_and_heap_at_one_cycle(self, compact):
+        clock = Clock()
         order = []
         clock.schedule(5, lambda: order.append("early"))
         clock.schedule(20, lambda: order.append("heap-1"))
         doomed = clock.schedule(20, lambda: order.append("doomed-heap"))
         clock.schedule(30, lambda: order.append("late"))
         clock.run(until=5)
-        clock.schedule(15, lambda: order.append("bucket-1"))
-        clock.schedule(15, lambda: order.append("bucket-2"))
+        clock.schedule(15, lambda: order.append("later-1"))
+        clock.schedule(15, lambda: order.append("later-2"))
         doomed.cancel()
-        clock._compact()
+        if compact:
+            clock._compact()
+        assert clock.pending() == 4
         clock.advance(15)
-        assert order == ["early", "heap-1", "bucket-1", "bucket-2"]
+        assert order == ["early", "heap-1", "later-1", "later-2"]
         assert clock.now == 20
         clock.run()
         assert order[-1] == "late"
         assert clock.now == 30
 
-    def test_now_is_a_plain_attribute(self, pooling):
-        clock = Clock(pooling=pooling)
+    @pytest.mark.parametrize("shard", [True, False])
+    def test_now_is_a_plain_attribute(self, shard):
+        clock = ShardClock() if shard else Clock()
         assert "now" in vars(clock)
-        assert not hasattr(type(clock), "now")
+        assert not hasattr(Clock, "now")
         assert not hasattr(ShardClock, "now")
         clock.advance(7)
         assert vars(clock)["now"] == 7

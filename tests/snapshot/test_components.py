@@ -2,7 +2,7 @@
 
 Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
-populated free list and same-time bucket, a TLB carrying stale
+tombstone and a same-cycle burst queued, a TLB carrying stale
 generation stamps, a packet pool with recycled buffers, detached sampled
 metrics, the NULL_TRACER singleton.
 """
@@ -25,24 +25,23 @@ from repro.vm.tlb import TLB, TlbEntry
 
 
 def _burst_clock() -> "tuple[Clock, list]":
-    """A pooled clock stopped mid-burst.
+    """A clock stopped mid-burst.
 
-    Pending events include a same-time bucket (three events at one
-    cycle); the free list is non-empty (fired + cancelled events have
-    been recycled).  Callbacks append to ``fired`` (a plain list, so the
-    whole graph stays inside the snapshot module allow-list).
+    Pending events include a same-cycle burst (three events at one
+    cycle) and one has already fired.  Callbacks append to ``fired`` (a
+    plain list, so the whole graph stays inside the snapshot module
+    allow-list).
     """
-    clock = Clock(pooling=True)
+    clock = Clock()
     fired: list = []
     clock.schedule(5, partial(fired.append, "early"))
     doomed = clock.schedule(7, partial(fired.append, "cancelled"))
     doomed.cancel()
-    for tag in ("b0", "b1", "b2"):  # same-time FIFO bucket at t=20
+    for tag in ("b0", "b1", "b2"):  # same-cycle burst at t=20
         clock.schedule(20, partial(fired.append, tag))
     clock.schedule(30, partial(fired.append, "late"))
-    clock.run(until=10)  # fire "early", recycle its event
-    assert clock._free, "setup must leave a populated free list"
-    assert clock._bucket or clock.pending() >= 3
+    clock.run(until=10)  # fire "early", pop the tombstone
+    assert clock.pending() == 4
     return clock, fired
 
 
@@ -59,15 +58,6 @@ def test_clock_mid_burst_restore_equivalence():
     assert clock2.pending() == 0
 
 
-def test_clock_free_list_ids_rebuilt():
-    clock, fired = _burst_clock()
-    clock2 = restore(snapshot((clock, fired)))[0]
-    # The id()-keyed double-release ledger cannot survive serialisation;
-    # it must be rebuilt from the restored free list.
-    assert clock2._free_ids == {id(e) for e in clock2._free}
-    assert len(clock2._free) == len(clock._free)
-
-
 def test_clock_audit_hook_not_captured():
     clock, fired = _burst_clock()
     clock.audit_hook = lambda: None  # external observer (the auditor's)
@@ -78,12 +68,12 @@ def test_clock_audit_hook_not_captured():
 def test_clock_state_dict_round_trip():
     clock, _fired = _burst_clock()
     assert isinstance(clock, Snapshottable)
-    twin = Clock(pooling=True)
+    twin = Clock()
     twin.load_state(clock.state_dict())
     assert twin.now == clock.now
     assert twin.pending() == clock.pending()
     assert twin.events_fired == clock.events_fired
-    assert twin._bucket_time == clock._bucket_time
+    assert twin.next_event_time() == clock.next_event_time()
 
 
 def _stale_tlb() -> TLB:

@@ -67,12 +67,15 @@ def test_version_mismatch_raises_typed_error():
 
 def test_version_1_blob_is_refused():
     # Version 2 changed the clock's persisted shape (tuple queue entries,
-    # a plain ``now`` attribute), so version-1 blobs cannot be restored.
-    blob = encode({"k": "v"}, version=1)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 1
-    assert excinfo.value.expected == 2
+    # a plain ``now`` attribute) and version 3 changed it again (the
+    # queue holds Event lists; no same-time bucket, no event free list),
+    # so neither older version can be restored.
+    for version in (1, 2):
+        blob = encode({"k": "v"}, version=version)
+        with pytest.raises(SnapshotVersionError) as excinfo:
+            restore(blob)
+        assert excinfo.value.found == version
+        assert excinfo.value.expected == 3
 
 
 def test_version_error_is_a_snapshot_and_repro_error():
