@@ -104,14 +104,6 @@ class Clock(SnapshotMixin):
         state["audit_hook"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # A state dict loaded into another clock (``load_state``) carries
-        # events bound to the clock it was copied from; rebind them, so a
-        # later cancel() settles this clock's live count.
-        for event in self._queue:
-            event[4] = self
-
     # ------------------------------------------------------------- reading
     def pending(self) -> int:
         """Number of live (uncancelled) events still queued.  O(1)."""
