@@ -3,8 +3,8 @@
 Each scenario drives :func:`repro.traffic.run_scenario` -- a seeded
 pattern (incast, all-to-all, uniform, hotspot) over N nodes x M tenants
 -- and records host-side messages/s and MB/s.  The gated scenarios also
-run a *disabled* pass (pooling and pipelining off) so the committed
-baseline carries the measured fast-lane speedup, not a claimed one.
+run a *disabled* pass (pooling off) so the committed baseline carries
+the measured fast-lane speedup, not a claimed one.
 
 Everything simulated (cycles, events, deliveries, counters) is a pure
 function of the scenario parameters; only ``host_seconds`` and the rates
@@ -51,7 +51,7 @@ class ScaleSpec:
     kwargs: dict
     full: dict
     quick: dict
-    baseline: bool = True  # also measure with pooling/pipelining off
+    baseline: bool = True  # also measure with pooling off
     tags: List[str] = field(default_factory=list)
 
     def build_kwargs(self, quick: bool) -> dict:
@@ -122,9 +122,7 @@ def run_scale_scenario(
     enabled = run_scenario(spec.name, **kwargs).as_dict()
     disabled = None
     if want_baseline:
-        disabled = run_scenario(
-            spec.name, pooling=False, pipelining=False, **kwargs
-        ).as_dict()
+        disabled = run_scenario(spec.name, pooling=False, **kwargs).as_dict()
     return ScaleResult(enabled=enabled, disabled=disabled)
 
 

@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro import ClusterConfig, Machine, MachineConfig, ShrimpCluster
+from repro import ClusterConfig, Machine, MachineConfig, ObsConfig, ShrimpCluster
 from repro.bench import (
     bandwidth_curve,
     fig8_sizes,
@@ -99,7 +99,9 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    machine = Machine(config=MachineConfig(mem_size=1 << 20, record_trace=True))
+    machine = Machine(
+        config=MachineConfig(mem_size=1 << 20, obs=ObsConfig(record_trace=True))
+    )
     machine.attach_device(SinkDevice("sink", size=1 << 16))
     p = machine.create_process("app")
     buf = machine.kernel.syscalls.alloc(p, 8192)
@@ -135,8 +137,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import ObsConfig
-
     cluster = ShrimpCluster(
         config=ClusterConfig(
             num_nodes=2, mem_size=1 << 21, obs=ObsConfig(spans=True)
@@ -446,8 +446,8 @@ mode matrix -- pick at most one mode; toggles compose as marked:
                             "(bit-identical logs, digests, counters)")
     chaos.add_argument("--no-pool", action="store_true",
                        help="pooling differential mode: run the same "
-                            "schedule with the packet-pool/pipelining fast "
-                            "lane off vs on (at --shards K, default 1) and "
+                            "schedule with the packet/buffer free lists "
+                            "off vs on (at --shards K, default 1) and "
                             "require bit-identical logs, digests, counters")
     chaos.add_argument("--engine", default="in-process",
                        choices=["in-process", "worker", "both"],

@@ -36,7 +36,6 @@ from repro.net.reliable import ReliabilityConfig, ReliabilityPlane
 from repro.obs import Observability, unflatten
 from repro.params import shrimp
 from repro.sim.clock import Clock
-from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -137,20 +136,19 @@ def build_node(
     node_id: int,
     clock: Clock,
     interconnect: Interconnect,
-    tracer: Optional[Tracer] = None,
     reliability: Optional[ReliabilityPlane] = None,
 ) -> Tuple[Machine, ShrimpNic]:
     """Build one node (machine + NIC on the backplane).
 
     The only node constructor: :class:`ShrimpCluster` and the sharded
     engine's shards both build here, each passing one config per
-    assembly whose ``obs`` is its shared observability plane; the other
-    arguments are the assembly's live wiring.
+    assembly whose ``obs`` is its shared observability plane (which also
+    gives every node the assembly's tracer); the other arguments are the
+    assembly's live wiring.
     """
     machine = Machine(
         config=config.node_config(),
         clock=clock,
-        tracer=tracer,
         name=f"node{node_id}",
     )
     nic = ShrimpNic(
@@ -236,12 +234,9 @@ class ShrimpCluster:
         self.config = config
         num_nodes = config.num_nodes
         self.costs = config.costs if config.costs is not None else shrimp()
-        #: fast-lane toggles: ``pooling`` recycles packets and buffers,
-        #: ``pipelining`` lets senders reuse cached initiation plans.  Both
-        #: are exact -- simulated cycles and every curated counter are
-        #: bit-identical on or off (chaos ``--no-pool`` gates this).
+        #: the fast-lane switch (see :attr:`ClusterConfig.pooling`);
+        #: every sender's cached send plans follow it
         self.pooling = config.pooling
-        self.pipelining = config.pipelining
         #: protection-backend spec applied to every node (each node gets
         #: its own backend instance; see repro.protection)
         self.protection = (
@@ -257,13 +252,7 @@ class ShrimpCluster:
         else:
             self.obs = Observability(obs, clock=self.clock)
         self.obs.adopt_clock(self.clock)
-        if self.obs.tracer is not None:
-            self.tracer = self.obs.tracer
-        else:
-            self.tracer = Tracer(
-                record=config.record_trace or self.obs.config.record_trace
-            )
-            self.obs.tracer = self.tracer
+        self.tracer = self.obs.tracer
         self._metrics_bound = False
         self.interconnect = Interconnect(
             self.clock, self.costs, self.tracer,
@@ -273,7 +262,7 @@ class ShrimpCluster:
         # grid (ragged meshes would silently skew hop distances).
         self.interconnect.validate_topology(num_nodes)
         if config.pooling:
-            self.interconnect.packet_pool = PacketPool(debug=config.pool_debug)
+            self.interconnect.packet_pool = PacketPool()
         if self.obs.spans is not None:
             self.interconnect._spans = self.obs.spans
         # Optional ack/retransmit transport: one shared plane for the whole
@@ -304,7 +293,7 @@ class ShrimpCluster:
         for i in range(num_nodes):
             node, nic = build_node(
                 node_config, i, self.clock, self.interconnect,
-                tracer=self.tracer, reliability=self.reliability,
+                reliability=self.reliability,
             )
             self.nodes.append(node)
             self.nics.append(nic)

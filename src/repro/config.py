@@ -5,8 +5,8 @@ arguments on both entry points.  This module is the redesigned front
 door: one frozen dataclass per entry point, carrying every *configuration*
 decision (cost model, proxy scheme, fast paths, observability, transport,
 protection, IOMMU tier...), while *wiring* parameters that name live
-objects owned by someone else -- ``clock``, ``tracer``, ``name`` -- stay
-explicit keyword arguments on the constructors.
+objects owned by someone else -- ``clock``, ``name`` -- stay explicit
+keyword arguments on the constructors.
 
     from repro import Machine, MachineConfig
 
@@ -77,11 +77,12 @@ class IommuConfig:
 class MachineConfig:
     """Everything a :class:`~repro.machine.Machine` is configured by.
 
-    Wiring parameters (``clock``, ``tracer``, ``name``) are *not* here:
-    they identify live objects owned by an enclosing assembly (a
-    cluster's shared clock) and stay keyword arguments on ``Machine``.
-    ``obs`` may be an :class:`~repro.obs.ObsConfig` (build a private
-    plane) or a shared :class:`~repro.obs.Observability` instance.
+    Wiring parameters (``clock``, ``name``) are *not* here: they
+    identify live objects owned by an enclosing assembly (a cluster's
+    shared clock) and stay keyword arguments on ``Machine``.  ``obs``
+    may be an :class:`~repro.obs.ObsConfig` (build a private plane) or a
+    shared :class:`~repro.obs.Observability` instance; either way the
+    plane owns the machine's tracer.
     """
 
     costs: Optional[CostModel] = None
@@ -92,9 +93,7 @@ class MachineConfig:
     i3_strategy: str = I3_WRITE_PROTECT
     guard_strategy: GuardStrategy = GuardStrategy.REGISTERS
     bounce_frames: int = 8
-    record_trace: bool = False
     dma_burst_bytes: int = 0
-    dma_bursts_per_event: int = 1
     swap: str = "dict"
     fast_paths: bool = True
     obs: object = None
@@ -118,7 +117,7 @@ class ClusterConfig:
     """Everything a :class:`~repro.cluster.ShrimpCluster` is configured by.
 
     Per-node options mirror :class:`MachineConfig`; cluster-level options
-    (topology, NIPT size, transport, pipelining) live only here.  Use
+    (topology, NIPT size, transport, pooling) live only here.  Use
     :meth:`node_config` to see the per-node projection the cluster
     constructs its machines from.
     """
@@ -129,18 +128,17 @@ class ClusterConfig:
     nipt_entries: int = 1 << 12
     queue_depth: Optional[int] = None
     scheme: ProxyScheme = ProxyScheme.HIGH_BIT
-    record_trace: bool = False
     cut_through: bool = True
     topology: str = "linear"
     mesh_width: int = 0
     dma_burst_bytes: int = 0
-    dma_bursts_per_event: int = 1
     fast_paths: bool = True
     obs: object = None
     reliability: object = None
+    #: the fast lane: packet/buffer free lists on the backplane and
+    #: cached send plans in every sender.  Exact -- simulated cycles and
+    #: every curated counter are bit-identical on or off.
     pooling: bool = True
-    pool_debug: bool = False
-    pipelining: bool = True
     protection: object = None
     #: the virtual-address RDMA tier, applied to every node: NIPT entries
     #: name (asid, virtual page) instead of physical frames, receive
@@ -173,7 +171,6 @@ class ClusterConfig:
             scheme=self.scheme,
             queue_depth=self.queue_depth,
             dma_burst_bytes=self.dma_burst_bytes,
-            dma_bursts_per_event=self.dma_bursts_per_event,
             fast_paths=self.fast_paths,
             protection=self.protection,
             iommu=self.iommu,

@@ -57,7 +57,6 @@ from repro.sim.clock import Clock
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.vm.mmu import MMU, Access
 from repro.vm.page_table import PageTable
-from repro.snapshot.protocol import SnapshotMixin
 
 #: fault handler signature: (vaddr, access, reason) -> repaired?
 FaultHandler = Callable[[int, str, str], bool]
@@ -88,7 +87,7 @@ class _Translation:
         self.pt_gen = pt_gen
 
 
-class CPU(SnapshotMixin):
+class CPU:
     """One node's processor.
 
     Args:

@@ -160,11 +160,10 @@ class InvariantViolation(ReproError):
 class PoolIntegrityError(ReproError):
     """An object pool's recycling discipline was violated.
 
-    Raised only in pool-debug mode (``ClusterConfig(pool_debug=True)``):
-    a double release, a release of a still-live object, or an acquire of
-    an object the pool does not own.  A correct
-    fast lane never triggers it; the chaos differential suite runs with
-    the checks on to prove recycling never aliases two tenants.
+    Raised only by a ledger-keeping pool (``PacketPool(debug=True)``,
+    a unit-level check; no assembly builds one): a double release, a
+    release of a non-data packet, or an acquire of an object the pool
+    does not own.  A correct fast lane never triggers it.
     """
 
     def __init__(self, detail: str) -> None:

@@ -54,7 +54,6 @@ from repro.config import IommuConfig
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet, unpack_virtual
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.snapshot.protocol import SnapshotMixin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -184,7 +183,7 @@ class RxVerdict:
     reason: str = ""         # abort cause (kind == "abort")
 
 
-class Iommu(SnapshotMixin):
+class Iommu:
     """One node's IOMMU: translate, park, service, replay.
 
     Built by :class:`~repro.machine.Machine` when its config carries an

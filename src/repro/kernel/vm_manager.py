@@ -47,7 +47,6 @@ from repro.sim.trace import NULL_TRACER, Tracer
 from repro.vm.backing_store import BackingStore
 from repro.vm.mmu import MMU
 from repro.vm.replacement import FrameView, ReplacementPolicy, make_policy
-from repro.snapshot.protocol import SnapshotMixin
 
 #: I3 maintenance strategies (section 6, "Maintaining I3").
 I3_WRITE_PROTECT = "write-protect"
@@ -64,7 +63,7 @@ class FrameMeta:
     last_used_at: int
 
 
-class VmManager(SnapshotMixin):
+class VmManager:
     """One node's VM manager."""
 
     def __init__(

@@ -43,7 +43,6 @@ from repro.obs import Observability, unflatten
 from repro.params import shrimp
 from repro.protection import ProtectionBackend, make_backend
 from repro.sim.clock import Clock
-from repro.sim.trace import Tracer
 from repro.vm.mmu import MMU
 
 
@@ -65,8 +64,6 @@ class Machine:
             the defaults.
         clock: share an existing clock (a cluster's); ``None`` builds a
             private one.
-        tracer: share an existing tracer; ``None`` derives one from the
-            observability plane / ``config.record_trace``.
         name: node name (namespaces metrics and trace sources).
 
     """
@@ -76,7 +73,6 @@ class Machine:
         config: Optional[MachineConfig] = None,
         *,
         clock: Optional[Clock] = None,
-        tracer: Optional[Tracer] = None,
         name: str = "node",
     ) -> None:
         if config is None:
@@ -98,16 +94,7 @@ class Machine:
             self.obs = Observability(obs, clock=self.clock)
             self._obs_prefix = ""
         self.obs.adopt_clock(self.clock)
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.obs.tracer is not None:
-            self.tracer = self.obs.tracer
-        else:
-            self.tracer = Tracer(
-                record=config.record_trace or self.obs.config.record_trace
-            )
-        if self.obs.tracer is None:
-            self.obs.tracer = self.tracer
+        self.tracer = self.obs.tracer
         self._metrics_bound = False
         self.layout = Layout(
             mem_size=config.mem_size,
@@ -125,7 +112,6 @@ class Machine:
         self.udma_engine = DmaEngine(
             self.clock, self.costs, name=f"{name}.udma-engine",
             tracer=self.tracer, burst_bytes=config.dma_burst_bytes,
-            bursts_per_event=config.dma_bursts_per_event,
         )
         backend = make_backend(config.protection)
         if depth > 0:
@@ -294,7 +280,7 @@ class Machine:
     ) -> ProtectionBackend:
         """Switch the UDMA protection backend on the live machine.
 
-        Accepts the same spec strings as ``Machine(protection=...)``
+        Accepts the same spec strings as ``MachineConfig(protection=...)``
         (see :func:`repro.protection.make_backend`).  Devices and
         outstanding grants are replayed into the new backend and the
         host-side decode caches are flushed.

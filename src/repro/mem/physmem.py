@@ -25,10 +25,9 @@ import mmap
 
 from repro.errors import AddressError
 from repro.params import DEFAULT_PAGE_SIZE, WORD_SIZE
-from repro.snapshot.protocol import SnapshotMixin
 
 
-class PhysicalMemory(SnapshotMixin):
+class PhysicalMemory:
     """Main memory of one node.
 
     Args:

@@ -6,12 +6,11 @@ from collections import deque
 from typing import Deque, Generic, Optional, TypeVar
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.snapshot.protocol import SnapshotMixin
 
 T = TypeVar("T")
 
 
-class BoundedFifo(SnapshotMixin, Generic[T]):
+class BoundedFifo(Generic[T]):
     """A FIFO of items with a byte budget.
 
     Items must expose a ``wire_bytes`` attribute (packets do); plain

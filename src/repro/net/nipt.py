@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.snapshot.protocol import SnapshotMixin
 
 #: the paper's NIPT size: a 15-bit index
 DEFAULT_NIPT_ENTRIES = 1 << 15
@@ -48,7 +47,7 @@ class NiptEntry:
         return self.dst_asid >= 0
 
 
-class NetworkInterfacePageTable(SnapshotMixin):
+class NetworkInterfacePageTable:
     """A direct-indexed table of remote destinations."""
 
     def __init__(self, num_entries: int = DEFAULT_NIPT_ENTRIES) -> None:

@@ -32,7 +32,6 @@ from typing import Dict, List, Set
 
 from repro.errors import PoolIntegrityError
 from repro.net.packet import Packet
-from repro.snapshot.protocol import SnapshotMixin
 
 #: retained Packet shells (beyond this, releases fall back to the GC)
 PACKET_FREE_LIST_CAP = 4096
@@ -40,7 +39,7 @@ PACKET_FREE_LIST_CAP = 4096
 BUFFER_FREE_LIST_CAP = 1024
 
 
-class PacketPool(SnapshotMixin):
+class PacketPool:
     """Free lists for :class:`Packet` shells and payload ``bytearray``\\ s.
 
     ``debug=True`` keeps an ownership ledger and raises

@@ -48,7 +48,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.snapshot.protocol import SnapshotMixin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (nic -> reliable)
     from repro.net.nic import ShrimpNic
@@ -141,7 +140,7 @@ class _RxChannel:
         self.buffer: Dict[int, "Packet"] = {}  # out-of-order holding area
 
 
-class ReliabilityPlane(SnapshotMixin):
+class ReliabilityPlane:
     """Shared transport state for every NIC of one cluster (or machine).
 
     One plane per backplane: channels are keyed by (src, dst) node id,

@@ -8,13 +8,15 @@ per cluster -- carries the three instruments:
   per-transfer latency histogram),
 * a :class:`~repro.obs.spans.SpanTracker` minting causal transfer spans
   when :attr:`ObsConfig.spans` is on,
-* the classic :class:`~repro.sim.trace.Tracer` event stream.
+* the classic :class:`~repro.sim.trace.Tracer` event stream, recording
+  when :attr:`ObsConfig.record_trace` is on.  The plane is the tracer's
+  one owner: every component of the assembly emits into it.
 
 Wiring is one keyword::
 
-    from repro import Machine, ObsConfig
+    from repro import Machine, MachineConfig, ObsConfig
 
-    m = Machine(obs=ObsConfig(spans=True))
+    m = Machine(config=MachineConfig(obs=ObsConfig(spans=True)))
     ...
     m.metrics()                  # nested counter report
     m.obs.spans.roots()          # transfer span trees
@@ -40,6 +42,7 @@ from repro.obs.registry import (
     unflatten,
 )
 from repro.obs.spans import Span, SpanEvent, SpanTracker
+from repro.sim.trace import Tracer
 
 __all__ = [
     "Counter",
@@ -72,7 +75,6 @@ class Observability:
         self,
         config: Optional[ObsConfig] = None,
         clock=None,
-        tracer=None,
     ) -> None:
         self.config = config if config is not None else ObsConfig()
         self.clock = clock
@@ -82,7 +84,7 @@ class Observability:
             if self.config.spans
             else None
         )
-        self.tracer = tracer
+        self.tracer = Tracer(record=self.config.record_trace)
 
     def adopt_clock(self, clock) -> None:
         """Late-bind the simulation clock (first assembly that wires us)."""

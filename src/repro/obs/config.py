@@ -1,8 +1,8 @@
 """Observability configuration: the one knob assemblies accept.
 
-``Machine(..., obs=ObsConfig(...))`` and ``ShrimpCluster(..., obs=...)``
-replace the previous scatter of ``tracer=`` / ``record_trace=`` attach
-patterns (which still work, as thin aliases).
+``MachineConfig(obs=ObsConfig(...))`` and ``ClusterConfig(obs=...)`` are
+the only way to configure the plane, tracing included: the plane builds
+and owns the assembly's tracer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class ObsConfig:
         spans: mint causal transfer spans (initiation -> packets ->
             completion).  Off by default; purely host-side when on.
         record_trace: keep the full :class:`~repro.sim.trace.TraceEvent`
-            stream (the old ``record_trace=`` flag).
+            stream in the plane's tracer.
         max_spans: span-tracker capacity; further spans are counted as
             dropped rather than grown without bound.
     """

@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.snapshot.protocol import SnapshotMixin
 
 #: dotted lowercase names: ``cpu.loads``, ``node0.nic.packets_sent``
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
@@ -260,7 +259,7 @@ class Histogram(Metric):
         }
 
 
-class MetricsRegistry(SnapshotMixin):
+class MetricsRegistry:
     """All of one observability plane's instruments, by stable name."""
 
     def __init__(self) -> None:

@@ -4,7 +4,7 @@ See :mod:`repro.protection.base` for the interface and the
 outcome-equivalence contract, and ``docs/PROTECTION.md`` for the guide.
 
 Backends are named by a spec string accepted everywhere a backend can be
-configured (``Machine(protection=...)``, ``ShrimpCluster``, chaos, CLI):
+configured (``MachineConfig(protection=...)``, ``ClusterConfig``, chaos, CLI):
 
 * ``"proxy"``            — the paper's MMU-aliasing scheme (default);
 * ``"captable"``         — CAPIO-style capability table;

@@ -48,7 +48,7 @@ from repro.obs import Observability, ObsConfig
 from repro.params import CostModel, shrimp
 from repro.sharding.spec import ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER
 from repro.traffic.engine import RETRY_GAP_CYCLES
 from repro.userlib.udma import UdmaUser
 
@@ -217,15 +217,15 @@ class Shard:
         self,
         spec: ClusterSpec,
         shard_spec: ShardSpec,
-        tracer: "Tracer | None" = None,
         audit: bool = False,
     ) -> None:
         self.spec = spec
         self.shard_spec = shard_spec
         self.costs = shrimp()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: per-shard observability plane; node metrics land as node{i}.*
+        #: and the shard's handoff/lbts events share its nodes' tracer
         self.obs = Observability(ObsConfig(metrics=True))
+        self.tracer = self.obs.tracer
         self.interconnect = ShardInterconnect(self, self.costs, spec)
         self.runtimes: Dict[int, NodeRuntime] = {}
         self.order: List[int] = list(shard_spec.nodes)

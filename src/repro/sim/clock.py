@@ -33,7 +33,6 @@ import math
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationLimitError
-from repro.snapshot.protocol import SnapshotMixin
 
 #: Compaction fires when ``len(queue) > 2 * live + COMPACT_SLACK``: the
 #: slack keeps tiny queues from compacting on every cancel.
@@ -72,7 +71,7 @@ class Event(list):
         self[4]._on_cancel()
 
 
-class Clock(SnapshotMixin):
+class Clock:
     """A shared cycle counter with an event queue.
 
     The clock never runs backwards.  Events scheduled for a time that has

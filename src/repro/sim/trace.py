@@ -11,7 +11,6 @@ internals.
 from __future__ import annotations
 
 import logging
-from repro.snapshot.protocol import SnapshotMixin
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -39,7 +38,7 @@ class TraceEvent:
         return f"[{self.time:>10}] {self.source}.{self.kind} {fields}".rstrip()
 
 
-class Tracer(SnapshotMixin):
+class Tracer:
     """Collects trace events and dispatches them to subscribers.
 
     With ``record=False`` and no subscribers, :meth:`emit` is a cheap no-op

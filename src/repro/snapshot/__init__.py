@@ -39,7 +39,6 @@ capture and re-attached on restore (components expose
 
 from repro.snapshot.api import fork, reattach, restore, snapshot
 from repro.snapshot.format import MAGIC, SNAPSHOT_VERSION
-from repro.snapshot.protocol import SnapshotMixin, Snapshottable
 
 __all__ = [
     "snapshot",
@@ -48,6 +47,4 @@ __all__ = [
     "reattach",
     "MAGIC",
     "SNAPSHOT_VERSION",
-    "SnapshotMixin",
-    "Snapshottable",
 ]

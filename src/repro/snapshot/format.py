@@ -31,7 +31,7 @@ from repro.errors import SnapshotError, SnapshotVersionError
 MAGIC = b"SHRIMPSN"
 
 #: bump on any change to a pickled component's persisted shape
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: payloads at or above this size are zlib-compressed (mostly zero-filled
 #: physical memory compresses ~100x; tiny payloads skip the overhead)

@@ -19,7 +19,7 @@ cycles (context switch, initiation stores), and a charge fires any due
 events -- if those events performed their *own* CPU work, they would
 context-switch a node away mid-instruction-sequence.  The pump loop keeps
 every send at the top level, so the run is one deterministic interleaving
--- identical, by construction, with pooling/pipelining on or off.
+-- identical, by construction, with the pooled fast lane on or off.
 
 Host throughput (messages/s, MB/s moved through simulated host memory)
 is measured around the pump; simulated results (cycles, counters,
@@ -61,7 +61,6 @@ class TrafficResult:
     delivered: int
     xlat_hit_rate: float
     pooling: bool
-    pipelining: bool
     host_seconds: float
     messages_per_sec: float
     host_mb_per_sec: float
@@ -237,7 +236,6 @@ class TrafficEngine:
             delivered=self._packets_received() - base_delivered,
             xlat_hit_rate=(hits / lookups) if lookups else 0.0,
             pooling=cluster.pooling,
-            pipelining=cluster.pipelining,
             host_seconds=host_seconds,
             messages_per_sec=sent / host_seconds if host_seconds > 0 else 0.0,
             host_mb_per_sec=(
@@ -292,7 +290,6 @@ def run_scenario(
     churn_every: int = 0,
     channel_pages: int = 1,
     pooling: bool = True,
-    pipelining: bool = True,
     topology: str = "linear",
     mesh_width: int = 0,
     nipt_entries: Optional[int] = None,
@@ -336,7 +333,6 @@ def run_scenario(
                       topology=topology,
                       mesh_width=mesh_width,
                       pooling=pooling,
-                      pipelining=pipelining,
                   ),
               )
     engine = TrafficEngine(

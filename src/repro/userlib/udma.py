@@ -118,7 +118,9 @@ class UdmaUser:
             the cheap completion poll.  Exact: simulated cycles, counters
             and machine state are bit-identical on or off (the fast path
             only engages when no event is due inside the batched window,
-            so no interleaving is ever reordered).
+            so no interleaving is ever reordered).  A cluster
+            :class:`~repro.userlib.messaging.Sender` passes its cluster's
+            ``pooling`` switch.
     """
 
     def __init__(

@@ -31,7 +31,6 @@ from repro.params import CostModel
 from repro.sim.clock import Clock
 from repro.vm.page_table import PageTable
 from repro.vm.tlb import TLB, TlbEntry
-from repro.snapshot.protocol import SnapshotMixin
 
 
 class Access(enum.Enum):
@@ -41,7 +40,7 @@ class Access(enum.Enum):
     WRITE = "write"
 
 
-class MMU(SnapshotMixin):
+class MMU:
     """Translates virtual addresses and enforces page protection.
 
     Args:

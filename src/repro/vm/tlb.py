@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.snapshot.protocol import SnapshotMixin
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class TlbEntry:
     user: bool
 
 
-class TLB(SnapshotMixin):
+class TLB:
     """Fully associative, FIFO-replacement TLB keyed by ``(asid, vpage)``."""
 
     def __init__(self, capacity: int = 64) -> None:

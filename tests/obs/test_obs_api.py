@@ -68,15 +68,25 @@ class TestObsConfigWiring:
         assert c.interconnect._spans is c.obs.spans
 
     def test_obs_tracer_is_machine_tracer(self):
-        tracer = Tracer(record=True)
+        shared = Observability(ObsConfig(record_trace=True))
         m = Machine(
-                config=MachineConfig(
-                    mem_size=1 << 20,
-                    obs=Observability(tracer=tracer),
+                config=MachineConfig(mem_size=1 << 20, obs=shared),
+            )
+        assert m.tracer is shared.tracer
+        assert m.tracer.record is True
+
+    def test_cluster_nodes_share_the_plane_tracer(self):
+        c = ShrimpCluster(
+                config=ClusterConfig(
+                    num_nodes=2,
+                    mem_size=1 << 21,
+                    obs=ObsConfig(record_trace=True),
                 ),
             )
-        assert m.tracer is tracer
-        assert m.obs.tracer is tracer
+        assert c.tracer is c.obs.tracer
+        assert c.tracer.record is True
+        assert all(c.node(i).tracer is c.tracer for i in range(2))
+        assert c.interconnect.tracer is c.tracer
 
 
 class TestMetricsMethods:

@@ -67,15 +67,16 @@ def test_version_mismatch_raises_typed_error():
 
 def test_version_1_blob_is_refused():
     # Version 2 changed the clock's persisted shape (tuple queue entries,
-    # a plain ``now`` attribute) and version 3 changed it again (the
-    # queue holds Event lists; no same-time bucket, no event free list),
-    # so neither older version can be restored.
-    for version in (1, 2):
+    # a plain ``now`` attribute), version 3 changed it again (the queue
+    # holds Event lists; no same-time bucket, no event free list) and
+    # version 4 dropped config fields and the cluster's ``pipelining``
+    # attribute, so no older version can be restored.
+    for version in (1, 2, 3):
         blob = encode({"k": "v"}, version=version)
         with pytest.raises(SnapshotVersionError) as excinfo:
             restore(blob)
         assert excinfo.value.found == version
-        assert excinfo.value.expected == 3
+        assert excinfo.value.expected == 4
 
 
 def test_version_error_is_a_snapshot_and_repro_error():

@@ -77,7 +77,6 @@ def reference_run(engine: TrafficEngine) -> TrafficResult:
         delivered=engine._packets_received() - base_delivered,
         xlat_hit_rate=(hits / lookups) if lookups else 0.0,
         pooling=cluster.pooling,
-        pipelining=cluster.pipelining,
         host_seconds=0.0,
         messages_per_sec=0.0,
         host_mb_per_sec=0.0,
